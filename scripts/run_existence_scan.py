@@ -3,16 +3,23 @@
 
 For each (measure, m) pair this prints the system dimensions, the relative
 least-squares residual, the commutation defect of the multiplication
-operators, and whether the two criteria agree.
+operators, and whether the two criteria agree.  A numerical breakdown (the
+moment matrix losing positive definiteness, or a degenerate joint spectrum)
+is printed as a `numerical failure` row and the scan goes on.
 """
 
 import argparse
 
 import numpy as np
 
-from gausscub.cubature import build_rule, commutation_defect, multiplication_operators
+from gausscub.cubature import (
+    DegenerateSpectrumError,
+    build_rule,
+    commutation_defect,
+    multiplication_operators,
+)
 from gausscub.existence import assemble_system, solve_existence
-from gausscub.measures import catalog_moments, parse_measure_spec
+from gausscub.measures import NotPositiveDefiniteError, catalog_moments, parse_measure_spec
 from gausscub.ortho import build_orthobasis
 
 DEFAULT_MEASURES = [
@@ -36,7 +43,11 @@ def scan(measures, m_max, tol):
         spec = parse_measure_spec(text)
         for m in range(1, m_max + 1):
             y = catalog_moments(spec, 4 * m)
-            basis = build_orthobasis(y, 2 * m)
+            try:
+                basis = build_orthobasis(y, 2 * m)
+            except NotPositiveDefiniteError as e:
+                print(f"{text:>16} {m:>2} {'':>8} {'':>12} {'':>10}  numerical failure (pivot {e.pivot_index})")
+                continue
             system = assemble_system(y, basis, m)
             verdict = solve_existence(system, tol)
             ops = multiplication_operators(y, basis, m)
@@ -52,7 +63,11 @@ def scan(measures, m_max, tol):
                 f" {defect:>10.2e}  {tag}"
             )
             if verdict.exists:
-                rule = build_rule(y, basis, m)
+                try:
+                    rule = build_rule(y, basis, m)
+                except DegenerateSpectrumError as e:
+                    print(f"{'':>16}    -> numerical failure ({e})")
+                    continue
                 print(
                     f"{'':>16}    -> {rule.nodes.shape[0]} nodes,"
                     f" exactness error {rule.report.max_error:.2e},"

@@ -28,7 +28,7 @@ from .measures import (
     psd_cholesky,
     store_moments,
 )
-from .ortho import OrthoBasis, build_orthobasis, eval_P, gram_in_ortho_basis, triple_product
+from .ortho import OrthoBasis, build_orthobasis, eval_P, gram_in_ortho_basis
 from .qcheck import build_Q, verify_corollary, verify_remark
 
 __all__ = [name for name in dir() if not name.startswith("_")]

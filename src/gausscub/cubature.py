@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .indexing import add, dim_homog, dim_total, glex_enumerate
+from .indexing import dim_homog, dim_total, glex_enumerate, glex_rank
 from .measures import MomentFormatError, MomentSequence
 from .ortho import OrthoBasis, eval_monomials, eval_P, gram_in_ortho_basis
 
@@ -130,16 +130,12 @@ def multiplication_operators(y: MomentSequence, basis: OrthoBasis, m: int) -> Mu
     if basis.d < m - 1:
         raise ValueError(f"basis built to degree {basis.d}, need {m - 1}")
     s1 = dim_total(y.n, m - 1)
-    t = basis.table
+    exps = np.array(basis.table.indices[:s1])
+    moments = y.vector(glex_enumerate(y.n, 2 * m - 1))
     s = basis.coeffs[:s1, :s1]
     mats = []
-    for i in range(y.n):
-        ei = tuple(1 if j == i else 0 for j in range(y.n))
-        raw = np.empty((s1, s1))
-        for a in range(s1):
-            for b in range(a, s1):
-                raw[a, b] = raw[b, a] = y.values[add(add(t.indices[a], t.indices[b]), ei)]
-        ni = s @ raw @ s.T
+    for ei in np.eye(y.n, dtype=int):
+        ni = s @ moments[glex_rank(exps[:, None], exps[None, :], ei)] @ s.T
         mats.append(0.5 * (ni + ni.T))
     return MultiplicationOperators(y.n, m, tuple(mats))
 

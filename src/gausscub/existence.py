@@ -2,9 +2,9 @@
 
 The product of any two degree-m orthonormal polynomials expands in the
 orthonormal basis with a Kronecker-delta constant coefficient and top-degree
-coefficients given by triple products.  Existence of the rule is equivalent
-to solvability of the overdetermined linear system pairing those two slices;
-we decide it by the relative least-squares residual.
+coefficients L_y(P_gamma P_beta P_kappa), |kappa| = 2m.  Existence of the
+rule is equivalent to solvability of the overdetermined linear system pairing
+those two slices; we decide it by the relative least-squares residual.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indexing import MultiIndex, dim_homog, pair_count, pair_rank
+from .indexing import MultiIndex
 from .measures import MomentSequence
-from .ortho import OrthoBasis, triple_product
+from .ortho import OrthoBasis, product_expansion
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,10 +44,12 @@ class Verdict:
 
 
 def assemble_system(y: MomentSequence, basis: OrthoBasis, m: int) -> ExpansionSystem:
-    """Fill a0 with Kronecker deltas and A2m with triple products.
+    """Fill a0 with Kronecker deltas and A2m with the top-degree coefficients.
 
     Needs y probability-normalized with moments to degree 4m and the basis
-    built to degree 2m.
+    built to degree 2m.  A2m is the top slice of `product_expansion`: the
+    degree-2m monomial part of each product times the top diagonal block of
+    the Cholesky factor.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -57,22 +59,11 @@ def assemble_system(y: MomentSequence, basis: OrthoBasis, m: int) -> ExpansionSy
         raise ValueError(f"existence at level m={m} needs moments to degree {4 * m}, have {y.d_max}")
     if basis.d < 2 * m:
         raise ValueError(f"basis built to degree {basis.d}, need {2 * m}")
-    t = basis.table
-    block_m = t.indices[t.block(m)]
-    block_2m = t.indices[t.block(2 * m)]
-    tm = pair_count(y.n, m)
-    r2m = dim_homog(y.n, 2 * m)
-    a0 = np.empty(tm)
-    a2m = np.empty((tm, r2m))
-    pairs: list[tuple[MultiIndex, MultiIndex]] = [None] * tm  # type: ignore[list-item]
-    for i, gamma in enumerate(block_m):
-        for beta in block_m[i:]:
-            row = pair_rank(gamma, beta, m)
-            pairs[row] = (gamma, beta)
-            a0[row] = 1.0 if gamma == beta else 0.0
-            for col, kappa in enumerate(block_2m):
-                a2m[row, col] = triple_product(y, basis, gamma, beta, kappa)
-    return ExpansionSystem(y.n, m, a0, a2m, tuple(pairs))
+    block_m = basis.table.indices[basis.block(m)]
+    pairs = tuple((gamma, beta) for i, gamma in enumerate(block_m) for beta in block_m[i:])
+    a0 = np.array([1.0 if gamma == beta else 0.0 for gamma, beta in pairs])
+    a2m = product_expansion(basis, m)[:, basis.block(2 * m)]
+    return ExpansionSystem(y.n, m, a0, a2m, pairs)
 
 
 def solve_existence(system: ExpansionSystem, tol: float = 1e-8) -> Verdict:
@@ -93,25 +84,3 @@ def solve_existence(system: ExpansionSystem, tol: float = 1e-8) -> Verdict:
         rank=int(rank),
         tol=tol,
     )
-
-
-def full_expansion(
-    basis: OrthoBasis, y: MomentSequence, gamma: MultiIndex, beta: MultiIndex
-) -> list[np.ndarray]:
-    """All orthonormal-basis coefficients of P_gamma P_beta, one array per degree.
-
-    Validation helper: the j=0 slice must be the Kronecker delta and the
-    j=2m slice must match the assembled system row.
-    """
-    m = sum(gamma)
-    if sum(beta) != m:
-        raise ValueError("full_expansion needs |gamma| = |beta|")
-    if basis.d < 2 * m:
-        raise ValueError(f"basis built to degree {basis.d}, need {2 * m}")
-    slices = []
-    for j in range(2 * m + 1):
-        block = basis.table.indices[basis.block(j)]
-        slices.append(
-            np.array([triple_product(y, basis, gamma, beta, theta) for theta in block])
-        )
-    return slices

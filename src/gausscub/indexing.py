@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 MultiIndex = tuple[int, ...]
 
 # Counts are kept within signed 64-bit range so a desk-scale misuse fails
@@ -111,6 +113,35 @@ def homog_rank(alpha: MultiIndex) -> int:
             r += dim_homog(rem, d - k)
         d -= a
     return r
+
+
+def glex_rank(*exps) -> np.ndarray:
+    """Glex ranks of index sums: the rows of sum(exps), broadcast together.
+
+    Each argument is an integer array whose last axis runs over the
+    variables; the sum is never formed.  Closed form of `GlexTable.rank`, so
+    no table is needed: with t_i = alpha_i + ... + alpha_n the tail degrees
+    (1-based i), rank(alpha) = sum_i C(n - i + t_i, n - i + 1).  Term i
+    counts the indices that agree with alpha before position i - 1 and
+    precede it there by a larger exponent (term 1: by a lower degree).
+    """
+    exps = [np.asarray(e) for e in exps]
+    n = exps[0].shape[-1]
+    rows = n + sum(int(e.sum(axis=-1).max(initial=0)) for e in exps)
+    # int64 may wrap in Pascal entries above the ones used, but every used
+    # entry C(x, k) is a sum of used entries only.
+    pascal = np.zeros((rows, n + 1), dtype=np.int64)
+    pascal[:, 0] = 1
+    for x in range(1, rows):
+        pascal[x, 1:] = pascal[x - 1, 1:] + pascal[x - 1, :-1]
+    shape = np.broadcast_shapes(*(e.shape[:-1] for e in exps))
+    tail = np.zeros(shape, dtype=np.int64)
+    rank = np.zeros(shape, dtype=np.int64)
+    for j in range(n):  # j = n - i: walk the variables from the last one
+        for e in exps:
+            tail += e[..., n - 1 - j]
+        rank += pascal[tail + j, j + 1]
+    return rank
 
 
 def pair_rank(gamma: MultiIndex, beta: MultiIndex, m: int) -> int:

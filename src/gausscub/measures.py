@@ -21,9 +21,9 @@ import numpy as np
 from .indexing import (
     GlexTable,
     MultiIndex,
-    add,
     format_multiindex,
     glex_enumerate,
+    glex_rank,
     parse_multiindex,
 )
 
@@ -312,11 +312,8 @@ def moment_matrix(seq: MomentSequence, d: int) -> MomentMatrix:
     if seq.d_max < 2 * d:
         raise ValueError(f"moment matrix of degree {d} needs moments to {2 * d}, have {seq.d_max}")
     table = glex_enumerate(seq.n, d)
-    k = len(table)
-    a = np.empty((k, k))
-    for i, ai in enumerate(table.indices):
-        for j in range(i, k):
-            a[i, j] = a[j, i] = seq.values[add(ai, table.indices[j])]
+    exps = np.array(table.indices)
+    a = seq.vector(glex_enumerate(seq.n, 2 * d))[glex_rank(exps[:, None], exps[None, :])]
     return MomentMatrix(d, table, a)
 
 

@@ -2,10 +2,10 @@
 
 The family is represented by a lower-triangular coefficient matrix S over
 the Glex monomial basis: row alpha holds the monomial coefficients of
-P_alpha.  The main construction inverts the Cholesky factor of the moment
-matrix, which is the unique family with unit norms, triangular support and
-positive leading coefficients; the classical bordered-determinant formula
-is kept as an independent cross-check oracle.
+P_alpha.  It is S = L^-1 for the Cholesky factor L of the moment matrix,
+the unique family with unit norms, triangular support and positive leading
+coefficients.  Since M S^T = L, the factor also expands any polynomial in
+the family: monomial coefficients c give orthonormal coefficients c L.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .indexing import GlexTable, MultiIndex, add, dim_total, glex_enumerate
+from .indexing import GlexTable, MultiIndex, add, dim_total, glex_rank
 from .measures import MomentSequence, moment_matrix, psd_cholesky
 
 
@@ -28,6 +28,7 @@ class OrthoBasis:
     d: int
     table: GlexTable
     coeffs: np.ndarray = field(repr=False)  # row alpha = P_alpha in monomial basis
+    chol: np.ndarray = field(repr=False)  # L with M = L L^T and coeffs = L^-1
 
     def block(self, m: int) -> slice:
         return self.table.block(m)
@@ -49,33 +50,7 @@ def build_orthobasis(y: MomentSequence, d: int) -> OrthoBasis:
     mm = moment_matrix(y, d)
     low = psd_cholesky(mm)
     s = solve_triangular(low, np.eye(low.shape[0]), lower=True)
-    return OrthoBasis(y.n, d, mm.table, s)
-
-
-def ortho_det_oracle(y: MomentSequence, sigma: MultiIndex) -> np.ndarray:
-    """Bordered-determinant construction of P_sigma (cross-check only).
-
-    Expands the determinant of the moment submatrix (rows strictly below
-    sigma, columns up to sigma, a monomial row appended) by cofactors of the
-    last row, then normalizes to unit norm and positive leading coefficient.
-    Returns monomial coefficients over the ranks 0..rank(sigma).
-    """
-    sigma = tuple(sigma)
-    d = sum(sigma)
-    mm = moment_matrix(y, d)
-    k = mm.table.rank(sigma)
-    sub = mm.array[:k, : k + 1]
-    coeff = np.empty(k + 1)
-    for j in range(k + 1):
-        cols = [c for c in range(k + 1) if c != j]
-        coeff[j] = (-1.0) ** (k + j) * np.linalg.det(sub[:, cols])
-    norm2 = coeff @ mm.array[: k + 1, : k + 1] @ coeff
-    if norm2 <= 0:
-        raise ValueError(f"degenerate moments: zero bordered determinant for sigma={sigma}")
-    coeff /= np.sqrt(norm2)
-    if coeff[k] < 0:
-        coeff = -coeff
-    return coeff
+    return OrthoBasis(y.n, d, mm.table, s, low)
 
 
 def eval_monomials(table: GlexTable, point) -> np.ndarray:
@@ -112,29 +87,26 @@ def product_coeffs(basis: OrthoBasis, gamma: MultiIndex, beta: MultiIndex) -> di
     return prod
 
 
-def triple_product(
-    y: MomentSequence,
-    basis: OrthoBasis,
-    gamma: MultiIndex,
-    beta: MultiIndex,
-    kappa: MultiIndex,
-) -> float:
-    """L_y(P_gamma P_beta P_kappa); needs moments to |gamma|+|beta|+|kappa|."""
-    total = sum(gamma) + sum(beta) + sum(kappa)
-    if y.d_max < total:
-        raise ValueError(f"triple product needs moments to degree {total}, have {y.d_max}")
-    t = basis.table
-    s = basis.coeffs
-    prod = product_coeffs(basis, gamma, beta)
-    rk = t.rank(kappa)
-    val = 0.0
-    for c in range(rk + 1):
-        cc = s[rk, c]
-        if cc == 0.0:
-            continue
-        ec = t.indices[c]
-        val += cc * sum(pc * y.values[add(e, ec)] for e, pc in prod.items())
-    return val
+def product_expansion(basis: OrthoBasis, m: int) -> np.ndarray:
+    """Orthonormal coefficients of every product P_gamma P_beta, |gamma| = |beta| = m.
+
+    Row pair_rank(gamma, beta, m), column rank(theta) for |theta| <= 2m holds
+    L_y(P_gamma P_beta P_theta).  The rows are the products' monomial
+    coefficients times the Cholesky factor (M S^T = L): the moments enter
+    only through the factor.
+    """
+    if basis.d < 2 * m:
+        raise ValueError(f"basis built to degree {basis.d}, need {2 * m}")
+    sm, s2m = dim_total(basis.n, m), dim_total(basis.n, 2 * m)
+    block = basis.coeffs[basis.block(m), :sm]
+    left, right = (block[i] for i in np.triu_indices(block.shape[0]))  # pair_rank order
+    exps = np.array(basis.table.indices[:sm])
+    sums = glex_rank(exps[:, None], exps[None, :])
+    prod = np.zeros((left.shape[0], s2m))
+    for a in range(sm):
+        # e_a + e_b is distinct over b, so the scatter has no collisions
+        prod[:, sums[a]] += left[:, a, None] * right
+    return prod @ basis.chol[:s2m, :s2m]
 
 
 def gram_in_ortho_basis(z: MomentSequence, basis: OrthoBasis, d: int) -> OrthoMomentMatrix:

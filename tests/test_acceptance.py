@@ -27,11 +27,12 @@ from gausscub.indexing import (
     pair_rank,
 )
 from gausscub.measures import load_moments, moment_matrix, store_moments
-from gausscub.ortho import build_orthobasis, eval_P, ortho_det_oracle
+from gausscub.ortho import build_orthobasis, eval_P
 from gausscub.qcheck import build_Q, verify_corollary, verify_remark
 
 from conftest import catalog
 from golub_welsch import gauss_rule
+from oracles import ortho_det_oracle
 
 ONE_D_TAGS = ("lebesgue", "chebyshev1", "chebyshev2", "hermite")
 

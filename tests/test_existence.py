@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gausscub.existence import assemble_system, full_expansion, solve_existence
+from gausscub.existence import assemble_system, solve_existence
 from gausscub.indexing import dim_homog, pair_count
 from gausscub.measures import MomentSequence, normalize_probability
 from gausscub.ortho import build_orthobasis, eval_P
 
 from conftest import catalog
 from golub_welsch import gauss_rule
+from oracles import full_expansion, triple_product
 
 SQ5 = math.sqrt(5.0)
 
@@ -49,13 +50,30 @@ def test_row_symmetry_in_pairs():
     basis = build_orthobasis(y, 4)
     system = assemble_system(y, basis, 2)
     from gausscub.indexing import pair_rank
-    from gausscub.ortho import triple_product
 
     for gamma, beta in system.pairs:
         row = system.A2m[pair_rank(beta, gamma, 2)]
         block = basis.table.indices[basis.block(4)]
         recomputed = [triple_product(y, basis, beta, gamma, k) for k in block]
         assert row == pytest.approx(recomputed, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec_text", ["lebesgue^3", "lebesgue^4"])
+def test_assembled_rows_match_loop_oracle(spec_text):
+    y = catalog(spec_text, 8)
+    basis = build_orthobasis(y, 4)
+    system = assemble_system(y, basis, 2)
+    block = basis.table.indices[basis.block(4)]
+    expected = [[triple_product(y, basis, g, b, k) for k in block] for g, b in system.pairs]
+    assert system.A2m == pytest.approx(np.array(expected), abs=1e-12)
+
+
+def test_symmetrized_m4_system_is_consistent():
+    # the kernel keeps the YES residual far below tol = 1e-8 at m = 4
+    y = catalog("symmetrized:0.5", 16)
+    verdict = solve_existence(assemble_system(y, build_orthobasis(y, 8), 4))
+    assert verdict.exists
+    assert verdict.relative_residual <= 1e-11
 
 
 @pytest.mark.parametrize("tag", ["lebesgue", "chebyshev1", "chebyshev2", "hermite"])

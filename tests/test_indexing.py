@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +12,7 @@ from gausscub.indexing import (
     glex_compare,
     glex_enumerate,
     glex_key,
+    glex_rank,
     homog_rank,
     pair_count,
     pair_rank,
@@ -116,6 +118,18 @@ def test_homog_rank_matches_table():
         for d in range(6):
             for i, alpha in enumerate(table.indices[table.block(d)]):
                 assert homog_rank(alpha) == i
+
+
+def test_glex_rank_matches_table():
+    for n in range(1, 5):
+        for d in range(7):
+            table = glex_enumerate(n, d)
+            exps = np.array(table.indices)
+            assert list(glex_rank(exps)) == [table.rank(a) for a in table.indices]
+            # broadcast parts rank their sums without forming them
+            low = glex_enumerate(n, d // 2).indices
+            sums = glex_rank(np.array(low)[:, None], np.array(low)[None, :])
+            assert sums.tolist() == [[table.rank(add(a, b)) for b in low] for a in low]
 
 
 def test_pair_rank_trivial_cases():

@@ -173,6 +173,15 @@ def test_moment_matrix_1d():
         moment_matrix(y, 3)  # needs degree 6 moments
 
 
+def test_moment_matrix_copies_moments_exactly():
+    rng = np.random.default_rng(3)
+    table = glex_enumerate(3, 6)
+    y = MomentSequence(3, 6, dict(zip(table.indices, rng.standard_normal(len(table)))), normalized=False)
+    rows = glex_enumerate(3, 3).indices
+    expected = [[y.values[tuple(a + b for a, b in zip(ra, rb))] for rb in rows] for ra in rows]
+    assert np.array_equal(moment_matrix(y, 3).array, np.array(expected))
+
+
 def test_moment_matrix_layout_matches_bordered_rows():
     # top-left 5x5 of the n=2 degree-2 matrix carries the (y00 y10 y01 y20 y11)
     # rows used by the bordered-determinant construction

@@ -1,0 +1,23 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_existence_scan.py"
+
+
+def _load_scan():
+    spec = importlib.util.spec_from_file_location("run_existence_scan", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.scan
+
+
+def test_scan_reports_breakdown_and_goes_on(capsys):
+    # symmetrized:0.5 loses positive definiteness at m = 5; the scan must
+    # print that row and still reach the next measure
+    _load_scan()(["symmetrized:0.5", "lebesgue^1"], 5, 1e-8)
+    rows = capsys.readouterr().out.splitlines()
+    failed = [r for r in rows if "numerical failure" in r]
+    assert len(failed) == 1
+    assert failed[0].split()[:2] == ["symmetrized:0.5", "5"]
+    assert "(pivot " in failed[0]
+    assert any(r.split()[:2] == ["lebesgue^1", "5"] and r.endswith("YES") for r in rows)
