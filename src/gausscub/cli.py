@@ -8,6 +8,7 @@ verification), 20 input or format error, 30 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import cubature as cub
 from . import existence, measures, ortho, qcheck
-from .indexing import dim_total, format_multiindex, glex_enumerate, parse_multiindex
+from .indexing import dim_total, format_multiindex, parse_multiindex
 
 EXIT_OK = 0
 EXIT_NO_CUBATURE = 10
@@ -76,25 +77,23 @@ class Report:
 
 
 def _load_sequence(cfg: RunConfig, d_max: int):
-    """Moment source resolution: exactly one of --catalog / --moments."""
+    """Probability-normalized moments to degree d_max from exactly one of
+    --catalog / --moments, and the support box of a catalog measure (or None)."""
     if (cfg.catalog is None) == (cfg.moments is None):
         raise ValueError("exactly one of --catalog and --moments is required")
     if cfg.catalog is not None:
         spec = measures.parse_measure_spec(cfg.catalog)
-        return measures.catalog_moments(spec, d_max), spec
-    seq = measures.load_moments(cfg.moments)
-    if seq.d_max < d_max:
-        raise ValueError(f"moment file holds degrees <= {seq.d_max}, need {d_max}")
+        return measures.catalog_moments(spec, d_max), spec.box_support()
+    seq = measures.load_moments(cfg.moments).truncate(d_max)
     return measures.normalize_probability(seq), None
 
 
 def _existence(cfg: RunConfig):
-    seq, spec = _load_sequence(cfg, 4 * cfg.m)
-    seq = measures.normalize_probability(seq)
+    seq, box = _load_sequence(cfg, 4 * cfg.m)
     basis = ortho.build_orthobasis(seq, 2 * cfg.m)
     system = existence.assemble_system(seq, basis, cfg.m)
     verdict = existence.solve_existence(system, cfg.tol)
-    return seq, spec, basis, system, verdict
+    return seq, box, basis, system, verdict
 
 
 def _cmd_exists(cfg: RunConfig) -> tuple[int, str]:
@@ -113,13 +112,12 @@ def _cmd_exists(cfg: RunConfig) -> tuple[int, str]:
 
 
 def _cmd_cubature(cfg: RunConfig) -> tuple[int, str]:
-    seq, spec, basis, system, verdict = _existence(cfg)
+    seq, box, basis, system, verdict = _existence(cfg)
     rep = Report(cfg.fmt)
     rep.add("verdict", "exists" if verdict.exists else "no-gaussian-cubature")
     rep.add("relative_residual", verdict.relative_residual)
     if not verdict.exists:
         return EXIT_NO_CUBATURE, rep.render()
-    box = spec.box_support() if spec is not None else None
     rule = cub.build_rule(
         seq, basis, cfg.m, commutation_tol=cfg.commutation_tol, seed=cfg.seed, box=box
     )
@@ -150,8 +148,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, str]:
         raise ValueError("verify needs --rule FILE")
     rule = cub.load_rule(cfg.rule)
     cfg.m = rule.m
-    seq, spec, basis, _, _ = _existence(cfg)
-    box = spec.box_support() if spec is not None else None
+    seq, box, basis, _, _ = _existence(cfg)
     report = cub.verify_exactness(rule, seq, basis, box=box)
     rep = Report(cfg.fmt)
     rep.add("max_exactness_error", report.max_error)
@@ -177,15 +174,7 @@ def _cmd_moments(cfg: RunConfig) -> tuple[int, str]:
     if cfg.out:
         measures.store_moments(seq, cfg.out)
         return EXIT_OK, f"wrote {cfg.out}"
-    lines = [
-        f"n = {seq.n}",
-        f"d_max = {seq.d_max}",
-        f"normalized = {'true' if seq.normalized else 'false'}",
-        f"scale = {seq.scale.hex()}",
-    ]
-    for alpha in glex_enumerate(seq.n, seq.d_max).indices:
-        lines.append(f'"{format_multiindex(alpha)}": {seq.values[alpha].hex()}')
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, measures.format_moments(seq)
 
 
 def _cmd_ortho(cfg: RunConfig) -> tuple[int, str]:
@@ -194,7 +183,6 @@ def _cmd_ortho(cfg: RunConfig) -> tuple[int, str]:
     sigma = parse_multiindex(cfg.sigma)
     d = sum(sigma)
     seq, _ = _load_sequence(cfg, 2 * d)
-    seq = measures.normalize_probability(seq)
     basis = ortho.build_orthobasis(seq, d)
     row = basis.row(sigma)
     rep = Report(cfg.fmt)
@@ -214,14 +202,13 @@ def _cmd_ortho(cfg: RunConfig) -> tuple[int, str]:
 
 
 def _cmd_qcheck(cfg: RunConfig) -> tuple[int, str]:
-    seq, spec, basis, _, verdict = _existence(cfg)
+    seq, box, basis, _, verdict = _existence(cfg)
     rep = Report(cfg.fmt)
     rep.add("verdict", "exists" if verdict.exists else "no-gaussian-cubature")
     if not verdict.exists:
         return EXIT_NO_CUBATURE, rep.render()
     q = qcheck.build_Q(basis, verdict.u, sign=cfg.sign)
     dev = qcheck.verify_corollary(seq, basis, q, cfg.m)
-    box = spec.box_support() if spec is not None else None
     rule = cub.build_rule(
         seq, basis, cfg.m, commutation_tol=cfg.commutation_tol, seed=cfg.seed, box=box
     )
@@ -251,6 +238,7 @@ def _add_source_args(p: _Parser) -> None:
     p.add_argument("--format", dest="fmt", choices=("text", "machine"), default="text")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="gausscub", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

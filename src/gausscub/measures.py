@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb, pi, sqrt
 
 import numpy as np
@@ -21,6 +21,7 @@ import numpy as np
 from .indexing import (
     GlexTable,
     MultiIndex,
+    dim_total,
     format_multiindex,
     glex_enumerate,
     glex_rank,
@@ -100,37 +101,39 @@ def parse_measure_spec(text: str) -> MeasureSpec:
     return MeasureSpec("product-1d", weights=(name,) * n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSequence:
-    """Values y_alpha for every |alpha| <= d_max, with provenance."""
+    """Values y_alpha for every |alpha| <= d_max, Glex-ordered, with provenance.
+
+    `array[k]` is the moment of the index of Glex rank k, so the moments of
+    degree <= d are the prefix of length s_d.
+    """
 
     n: int
     d_max: int
-    values: dict[MultiIndex, float]
+    array: np.ndarray = field(repr=False)
     normalized: bool
     scale: float = 1.0
 
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-        table = glex_enumerate(self.n, self.d_max)
-        missing = [a for a in table.indices if a not in self.values]
-        if missing:
-            raise ValueError(f"moment sequence missing {len(missing)} entries, e.g. {missing[0]}")
+        object.__setattr__(self, "array", np.asarray(self.array, dtype=float))
+        if self.array.shape != (dim_total(self.n, self.d_max),):
+            raise ValueError(f"need one moment per index of degree <= {self.d_max}, got {self.array.shape}")
 
     def value(self, alpha: MultiIndex) -> float:
-        try:
-            return self.values[tuple(alpha)]
-        except KeyError:
-            raise ValueError(
-                f"moment y_{alpha} unavailable (sequence holds degrees <= {self.d_max})"
-            )
+        return float(self.array[glex_enumerate(self.n, self.d_max).rank(alpha)])
 
     def vector(self, table: GlexTable) -> np.ndarray:
-        """Values laid out by the ranks of `table`."""
+        """Values laid out by the ranks of `table`: a prefix of the array."""
         if table.d_max > self.d_max:
             raise ValueError(f"need moments to degree {table.d_max}, have {self.d_max}")
-        return np.array([self.values[a] for a in table.indices])
+        return self.array[: len(table)]
+
+    def truncate(self, d: int) -> MomentSequence:
+        """The same sequence cut to degrees <= d."""
+        return replace(self, d_max=d, array=self.vector(glex_enumerate(self.n, d)))
 
 
 def _double_factorial(k: int) -> float:
@@ -153,7 +156,7 @@ def _moment_1d(tag: str, k: int) -> float:
     raise ValueError(f"unknown 1-D weight tag {tag!r}")
 
 
-def _symmetrized_moments(d_max: int) -> tuple[dict[MultiIndex, float], float]:
+def _symmetrized_moments(d_max: int) -> tuple[np.ndarray, float]:
     """Moments of the symmetrized 2-D Chebyshev family (alpha = 1/2).
 
     y_(a,b) = c * integral over [-1,1]^2 of
@@ -170,42 +173,35 @@ def _symmetrized_moments(d_max: int) -> tuple[dict[MultiIndex, float], float]:
     base = w * w * (t1 - t2) ** 2
     s = t1 + t2
     p = t1 * t2
-    table = glex_enumerate(2, d_max)
-    raw = {a: float(np.sum(base * s ** a[0] * p ** a[1])) for a in table.indices}
-    mass = raw[(0, 0)]
-    return {a: v / mass for a, v in raw.items()}, mass
+    raw = np.array([np.sum(base * s**a * p**b) for a, b in glex_enumerate(2, d_max).indices])
+    return raw / raw[0], float(raw[0])
 
 
 def catalog_moments(spec: MeasureSpec, d_max: int) -> MomentSequence:
     """Closed-form (or exactly-quadratured) moments, probability-normalized."""
-    if d_max < 0:
-        raise ValueError("d_max must be >= 0")
     if spec.kind == "symmetrized-2d":
         if d_max > 500:
             raise ValueError("d_max too large for the internal quadrature table")
-        values, mass = _symmetrized_moments(d_max)
-        return MomentSequence(2, d_max, values, normalized=True, scale=mass)
-    n = spec.n
-    table = glex_enumerate(n, d_max)
+        array, mass = _symmetrized_moments(d_max)
+        return MomentSequence(2, d_max, array, normalized=True, scale=mass)
+    exps = np.array(glex_enumerate(spec.n, d_max).indices)
     masses = [_moment_1d(w, 0) for w in spec.weights]
-    values = {}
-    for alpha in table.indices:
-        values[alpha] = math.prod(
-            _moment_1d(w, a) / m0 for w, a, m0 in zip(spec.weights, alpha, masses)
-        )
-    return MomentSequence(n, d_max, values, normalized=True, scale=math.prod(masses))
+    array = np.ones(len(exps))
+    for i, (w, m0) in enumerate(zip(spec.weights, masses)):
+        array *= np.array([_moment_1d(w, k) / m0 for k in range(d_max + 1)])[exps[:, i]]
+    return MomentSequence(spec.n, d_max, array, normalized=True, scale=math.prod(masses))
 
 
 def normalize_probability(seq: MomentSequence) -> MomentSequence:
     """Rescale so y_0 = 1 exactly; idempotent; the mass accumulates in scale."""
-    y0 = seq.value((0,) * seq.n)
+    y0 = float(seq.array[0])
     if y0 <= 0:
         raise ValueError(f"cannot normalize: y_0 = {y0} is not positive")
     if seq.normalized and y0 == 1.0:
         return seq
-    values = {a: v / y0 for a, v in seq.values.items()}
-    values[(0,) * seq.n] = 1.0
-    return MomentSequence(seq.n, seq.d_max, values, normalized=True, scale=seq.scale * y0)
+    array = seq.array / y0
+    array[0] = 1.0
+    return MomentSequence(seq.n, seq.d_max, array, normalized=True, scale=seq.scale * y0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +229,22 @@ def _parse_value(text: str) -> float:
         raise MomentFormatError(f"bad numeric value {text!r}")
 
 
-def store_moments(seq: MomentSequence, path) -> None:
-    table = glex_enumerate(seq.n, seq.d_max)
+def format_moments(seq: MomentSequence) -> str:
+    """The moment-file text of a sequence, without the final newline."""
     lines = [
         f"n = {seq.n}",
         f"d_max = {seq.d_max}",
         f"normalized = {'true' if seq.normalized else 'false'}",
         f"scale = {seq.scale.hex()}",
     ]
-    for alpha in table.indices:
-        lines.append(f'"{format_multiindex(alpha)}": {seq.values[alpha].hex()}')
+    indices = glex_enumerate(seq.n, seq.d_max).indices
+    lines += [f'"{format_multiindex(a)}": {v.hex()}' for a, v in zip(indices, seq.array.tolist())]
+    return "\n".join(lines)
+
+
+def store_moments(seq: MomentSequence, path) -> None:
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_moments(seq) + "\n")
 
 
 def load_moments(path) -> MomentSequence:
@@ -283,14 +283,14 @@ def load_moments(path) -> MomentSequence:
             raise MomentFormatError(f"multi-index {alpha} exceeds declared d_max={d_max}")
         if not math.isfinite(v):
             raise MomentFormatError(f"non-finite value for {alpha}")
-    table = glex_enumerate(n, d_max)
-    missing = [a for a in table.indices if a not in records]
-    if missing:
-        raise MomentFormatError(f"incomplete moment file: missing {format_multiindex(missing[0])}")
-    if normalized and records[(0,) * n] != 1.0:
+    try:
+        array = np.array([records[a] for a in glex_enumerate(n, d_max).indices])
+    except KeyError as e:
+        raise MomentFormatError(f"incomplete moment file: missing {format_multiindex(e.args[0])}")
+    if normalized and array[0] != 1.0:
         raise MomentFormatError("file declares normalized = true but y_0 != 1")
     try:
-        return MomentSequence(n, d_max, records, normalized=normalized, scale=scale)
+        return MomentSequence(n, d_max, array, normalized=normalized, scale=scale)
     except ValueError as e:
         raise MomentFormatError(str(e))
 
@@ -309,8 +309,6 @@ class MomentMatrix:
 
 
 def moment_matrix(seq: MomentSequence, d: int) -> MomentMatrix:
-    if seq.d_max < 2 * d:
-        raise ValueError(f"moment matrix of degree {d} needs moments to {2 * d}, have {seq.d_max}")
     table = glex_enumerate(seq.n, d)
     exps = np.array(table.indices)
     a = seq.vector(glex_enumerate(seq.n, 2 * d))[glex_rank(exps[:, None], exps[None, :])]

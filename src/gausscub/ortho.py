@@ -10,13 +10,12 @@ the family: monomial coefficients c give orthonormal coefficients c L.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .indexing import GlexTable, MultiIndex, add, dim_total, glex_rank
+from .indexing import GlexTable, MultiIndex, dim_total, glex_rank
 from .measures import MomentSequence, moment_matrix, psd_cholesky
 
 
@@ -68,32 +67,11 @@ def eval_P(basis: OrthoBasis, m: int, point) -> np.ndarray:
     return basis.coeffs[basis.block(m)] @ mono
 
 
-def product_coeffs(basis: OrthoBasis, gamma: MultiIndex, beta: MultiIndex) -> dict:
-    """Monomial coefficients of P_gamma * P_beta, as exponent -> value."""
-    t = basis.table
-    s = basis.coeffs
-    rg, rb = t.rank(gamma), t.rank(beta)
-    prod: dict[MultiIndex, float] = defaultdict(float)
-    for a in range(rg + 1):
-        ca = s[rg, a]
-        if ca == 0.0:
-            continue
-        ea = t.indices[a]
-        for b in range(rb + 1):
-            cb = s[rb, b]
-            if cb == 0.0:
-                continue
-            prod[add(ea, t.indices[b])] += ca * cb
-    return prod
+def product_monomials(basis: OrthoBasis, m: int) -> np.ndarray:
+    """Monomial coefficients of every product P_gamma P_beta, |gamma| = |beta| = m.
 
-
-def product_expansion(basis: OrthoBasis, m: int) -> np.ndarray:
-    """Orthonormal coefficients of every product P_gamma P_beta, |gamma| = |beta| = m.
-
-    Row pair_rank(gamma, beta, m), column rank(theta) for |theta| <= 2m holds
-    L_y(P_gamma P_beta P_theta).  The rows are the products' monomial
-    coefficients times the Cholesky factor (M S^T = L): the moments enter
-    only through the factor.
+    Row pair_rank(gamma, beta, m), column rank(alpha) for |alpha| <= 2m holds
+    the coefficient of x^alpha.
     """
     if basis.d < 2 * m:
         raise ValueError(f"basis built to degree {basis.d}, need {2 * m}")
@@ -106,7 +84,19 @@ def product_expansion(basis: OrthoBasis, m: int) -> np.ndarray:
     for a in range(sm):
         # e_a + e_b is distinct over b, so the scatter has no collisions
         prod[:, sums[a]] += left[:, a, None] * right
-    return prod @ basis.chol[:s2m, :s2m]
+    return prod
+
+
+def product_expansion(basis: OrthoBasis, m: int) -> np.ndarray:
+    """Orthonormal coefficients of every product P_gamma P_beta, |gamma| = |beta| = m.
+
+    Row pair_rank(gamma, beta, m), column rank(theta) for |theta| <= 2m holds
+    L_y(P_gamma P_beta P_theta).  The rows are the products' monomial
+    coefficients times the Cholesky factor (M S^T = L): the moments enter
+    only through the factor.
+    """
+    s2m = dim_total(basis.n, 2 * m)
+    return product_monomials(basis, m) @ basis.chol[:s2m, :s2m]
 
 
 def gram_in_ortho_basis(z: MomentSequence, basis: OrthoBasis, d: int) -> OrthoMomentMatrix:

@@ -1,17 +1,20 @@
 """Independent cross-check oracles for the orthonormal basis and the kernel.
 
 `triple_product` evaluates L_y(P_gamma P_beta P_kappa) entry by entry from
-raw moments, and `ortho_det_oracle` builds P_sigma from bordered
+raw moments through the dict of one product's monomial coefficients that
+`product_coeffs` builds, and `ortho_det_oracle` builds P_sigma from bordered
 determinants; neither shares arithmetic with the Cholesky-factor kernel
 they check.  `full_expansion` reads every slice of one product from that
 kernel, as `assemble_system` does.
 """
 
+from collections import defaultdict
+
 import numpy as np
 
 from gausscub.indexing import MultiIndex, add, pair_rank
 from gausscub.measures import MomentSequence, moment_matrix
-from gausscub.ortho import OrthoBasis, product_coeffs, product_expansion
+from gausscub.ortho import OrthoBasis, product_expansion
 
 
 def ortho_det_oracle(y: MomentSequence, sigma: MultiIndex) -> np.ndarray:
@@ -40,6 +43,25 @@ def ortho_det_oracle(y: MomentSequence, sigma: MultiIndex) -> np.ndarray:
     return coeff
 
 
+def product_coeffs(basis: OrthoBasis, gamma: MultiIndex, beta: MultiIndex) -> dict:
+    """Monomial coefficients of P_gamma * P_beta, as exponent -> value."""
+    t = basis.table
+    s = basis.coeffs
+    rg, rb = t.rank(gamma), t.rank(beta)
+    prod: dict[MultiIndex, float] = defaultdict(float)
+    for a in range(rg + 1):
+        ca = s[rg, a]
+        if ca == 0.0:
+            continue
+        ea = t.indices[a]
+        for b in range(rb + 1):
+            cb = s[rb, b]
+            if cb == 0.0:
+                continue
+            prod[add(ea, t.indices[b])] += ca * cb
+    return prod
+
+
 def triple_product(
     y: MomentSequence,
     basis: OrthoBasis,
@@ -61,7 +83,7 @@ def triple_product(
         if cc == 0.0:
             continue
         ec = t.indices[c]
-        val += cc * sum(pc * y.values[add(e, ec)] for e, pc in prod.items())
+        val += cc * sum(pc * y.value(add(e, ec)) for e, pc in prod.items())
     return val
 
 

@@ -181,7 +181,7 @@ def test_criterion_6_structural_invariants(tmp_path):
     path = tmp_path / "m.txt"
     store_moments(y, path)
     back = load_moments(path)
-    assert back.values == y.values and back.scale == y.scale
+    assert np.array_equal(back.array, y.array) and back.scale == y.scale
 
 
 @_criterion("7 (flatness path and atomic cross-check)")

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from gausscub.cli import EXIT_INPUT, EXIT_NO_CUBATURE, EXIT_NUMERICAL, EXIT_OK, main
-from gausscub.measures import MomentSequence, load_moments, store_moments
+from gausscub.cli import EXIT_INPUT, EXIT_NO_CUBATURE, EXIT_NUMERICAL, EXIT_OK, build_parser, main
+from gausscub.measures import (
+    MomentSequence,
+    catalog_moments,
+    load_moments,
+    parse_measure_spec,
+    store_moments,
+)
 
 
 def run_cli(capsys, *args):
@@ -95,6 +101,30 @@ def test_moments_stdout(capsys):
     assert '"0": 0x1.0000000000000p+0' in out
 
 
+def test_moments_stdout_is_the_stored_file(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "moments", "--catalog", "symmetrized:0.5", "--d-max", "3")
+    assert code == EXIT_OK
+    path = tmp_path / "m.txt"
+    store_moments(catalog_moments(parse_measure_spec("symmetrized:0.5"), 3), path)
+    assert out.encode() == path.read_bytes()
+
+
+def test_moments_from_file_honours_d_max(capsys, tmp_path):
+    path = str(tmp_path / "m.txt")
+    run_cli(capsys, "moments", "--catalog", "lebesgue^1", "--d-max", "4", "--out", path)
+    code, out, _ = run_cli(capsys, "moments", "--moments", path, "--d-max", "2")
+    assert code == EXIT_OK
+    assert "d_max = 2" in out
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith('"')] == ['"0"', '"1"', '"2"']
+    cut = tmp_path / "cut.txt"
+    run_cli(capsys, "moments", "--moments", path, "--d-max", "2", "--out", str(cut))
+    assert np.array_equal(load_moments(cut).array, load_moments(path).array[:3])
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_exists_from_moment_file(capsys, tmp_path):
     path = str(tmp_path / "m.txt")
     run_cli(capsys, "moments", "--catalog", "lebesgue^1", "--d-max", "4", "--out", path)
@@ -139,7 +169,7 @@ def test_bad_usage_exits_20():
 
 def test_numerical_failure_exit_30(capsys, tmp_path):
     # a Dirac measure has a singular moment matrix
-    values = {(0,): 1.0, (1,): 0.5, (2,): 0.25, (3,): 0.125, (4,): 0.0625}
+    values = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
     seq = MomentSequence(1, 4, values, normalized=True)
     path = str(tmp_path / "dirac.txt")
     store_moments(seq, path)

@@ -104,9 +104,7 @@ def test_scale_robustness(leb2):
     basis = build_orthobasis(leb2, 4)
     u_ref = solve_existence(assemble_system(leb2, basis, 2)).u
     for lam in (3.0, 0.125):
-        scaled = MomentSequence(
-            2, 8, {a: lam * v for a, v in leb2.values.items()}, normalized=False
-        )
+        scaled = MomentSequence(2, 8, lam * leb2.array, normalized=False)
         y = normalize_probability(scaled)
         basis2 = build_orthobasis(y, 4)
         u = solve_existence(assemble_system(y, basis2, 2)).u
@@ -132,7 +130,7 @@ def test_assemble_preconditions(leb2):
     basis = build_orthobasis(leb2, 4)
     with pytest.raises(ValueError, match="degree"):
         assemble_system(leb2, basis, 3)  # needs moments to 12
-    raw = MomentSequence(2, 8, dict(leb2.values), normalized=False)
+    raw = MomentSequence(2, 8, leb2.array.copy(), normalized=False)
     with pytest.raises(ValueError, match="normalized"):
         assemble_system(raw, basis, 2)
     with pytest.raises(ValueError, match="basis"):

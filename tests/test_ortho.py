@@ -11,11 +11,10 @@ from gausscub.ortho import (
     eval_monomials,
     eval_P,
     gram_in_ortho_basis,
-    product_coeffs,
 )
 
 from conftest import basis_for, catalog
-from oracles import ortho_det_oracle, triple_product
+from oracles import ortho_det_oracle, product_coeffs, triple_product
 
 SQ3 = math.sqrt(3.0)
 SQ5 = math.sqrt(5.0)

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gausscub.cubature import build_rule
 from gausscub.existence import assemble_system, solve_existence
+from gausscub.measures import moment_matrix
 from gausscub.ortho import build_orthobasis
 from gausscub.qcheck import build_Q, verify_corollary, verify_remark
 
@@ -106,3 +109,33 @@ def test_corollary_equivalent_to_residual():
     res_bad = np.abs(system.a0 + system.A2m @ u_bad).max()
     assert dev_bad > 1e-3 and res_bad > 1e-3
     assert dev_bad == pytest.approx(res_bad, rel=1e-6)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).precision <= 15, reason="long double is float64 on this platform"
+)
+def test_remark_top_degree_matches_exact_evaluation():
+    # the same float H, S and q evaluated exactly: the reported deviation is
+    # the certificate's, not rounding noise of the check
+    m = 8
+    y, basis, verdict = _yes_instance("chebyshev1", m)
+    q = build_Q(basis, verdict.u)
+    remark = verify_remark(y, basis, q, m, build_rule(y, basis, m))
+    hq = [sum(Fraction(h) * Fraction(c) for h, c in zip(row, q.coeffs)) for row in moment_matrix(y, 2 * m).array]
+    top = basis.coeffs[basis.block(2 * m)]
+    exact = max(
+        abs(float(sum(Fraction(s) * h for s, h in zip(row, hq)) - Fraction(q.sign * u)))
+        for row, u in zip(top, q.u)
+    )
+    assert exact > 1e-7
+    assert remark.top_degree == pytest.approx(exact, rel=0.01)
+
+
+@pytest.mark.parametrize("spec_text,m", [("lebesgue", 3), ("symmetrized:0.5", 2)])
+def test_qcheck_never_reads_the_cholesky_factor(spec_text, m):
+    y, basis, verdict = _yes_instance(spec_text, m)
+    q = build_Q(basis, verdict.u)
+    rule = build_rule(y, basis, m)
+    blind = dataclasses.replace(basis, chol=np.zeros_like(basis.chol))
+    assert verify_corollary(y, blind, q, m) == verify_corollary(y, basis, q, m)
+    assert verify_remark(y, blind, q, m, rule) == verify_remark(y, basis, q, m, rule)
