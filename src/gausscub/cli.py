@@ -147,8 +147,8 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, str]:
     if cfg.rule is None:
         raise ValueError("verify needs --rule FILE")
     rule = cub.load_rule(cfg.rule)
-    cfg.m = rule.m
-    seq, box, basis, _, _ = _existence(cfg)
+    seq, box = _load_sequence(cfg, 2 * rule.m)
+    basis = ortho.build_orthobasis(seq, rule.m)
     report = cub.verify_exactness(rule, seq, basis, box=box)
     rep = Report(cfg.fmt)
     rep.add("max_exactness_error", report.max_error)

@@ -101,7 +101,7 @@ def flatness_check(
     positive semidefinite with a vanishing degree-m diagonal block; its
     numerical rank is then s_{m-1}.
     """
-    g = gram_in_ortho_basis(z, basis, m).array
+    g = gram_in_ortho_basis(z, basis, m)
     s1 = dim_total(z.n, m - 1)
     block = g[s1:, s1:]
     block_norm = float(np.abs(block).max()) if block.size else 0.0
@@ -175,11 +175,8 @@ def extract_nodes(
         spread = max(1.0, float(evals.max() - evals.min()))
         if size > 1 and np.diff(evals).min() < 1e-7 * spread:
             continue
-        nodes = np.empty((size, ops.n))
-        for k in range(size):
-            v = vecs[:, k]
-            for i in range(ops.n):
-                nodes[k, i] = v @ ops.matrices[i] @ v
+        # Rayleigh quotient of each eigenvector under each operator
+        nodes = np.stack([np.sum(vecs * (ni @ vecs), axis=0) for ni in ops.matrices], axis=1)
         order = np.lexsort(tuple(nodes[:, i] for i in range(ops.n - 1, -1, -1)))
         return nodes[order]
     raise DegenerateSpectrumError(
@@ -199,12 +196,8 @@ def compute_weights(
     (the rule must reproduce L_y(P_alpha) = delta_{alpha=0}); every weight
     must be strictly positive for a Gaussian rule.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    s1 = nodes.shape[0]
-    vand = np.empty((s1, s1))
-    for k in range(s1):
-        mono = eval_monomials(basis.table, nodes[k])
-        vand[:, k] = basis.coeffs[:s1, :s1] @ mono[:s1]
+    s1 = len(nodes)
+    vand = basis.coeffs[:s1, :s1] @ eval_monomials(basis.table, nodes)[:, :s1].T  # P_alpha(node k)
     rhs = np.zeros(s1)
     rhs[0] = 1.0
     try:
@@ -225,13 +218,12 @@ def verify_exactness(
     box: tuple[float, float] | None = None,
 ) -> ExactnessReport:
     """Report the worst monomial error up to degree 2m-1 and node residuals."""
+    if rule.n != y.n:
+        raise ValueError(f"rule has dimension {rule.n}, the measure {y.n}")
     table = glex_enumerate(y.n, 2 * rule.m - 1)
-    powers = np.prod(rule.nodes ** np.array(table.indices)[:, None], axis=2)  # alpha x node
-    approx = np.sum(rule.weights * powers, axis=1)
+    approx = rule.weights @ eval_monomials(table, rule.nodes)
     max_err = float(np.abs(approx - y.vector(table) * y.scale).max())
-    node_res = 0.0
-    for x in rule.nodes:
-        node_res = max(node_res, float(np.abs(eval_P(basis, rule.m, x)).max()))
+    node_res = float(np.abs(eval_P(basis, rule.m, rule.nodes)).max())
     inside = None
     if box is not None:
         lo, hi = box

@@ -127,20 +127,18 @@ def glex_rank(*exps) -> np.ndarray:
     """
     exps = [np.asarray(e) for e in exps]
     n = exps[0].shape[-1]
-    rows = n + sum(int(e.sum(axis=-1).max(initial=0)) for e in exps)
-    # int64 may wrap in Pascal entries above the ones used, but every used
-    # entry C(x, k) is a sum of used entries only.
-    pascal = np.zeros((rows, n + 1), dtype=np.int64)
-    pascal[:, 0] = 1
-    for x in range(1, rows):
-        pascal[x, 1:] = pascal[x - 1, 1:] + pascal[x - 1, :-1]
     shape = np.broadcast_shapes(*(e.shape[:-1] for e in exps))
     tail = np.zeros(shape, dtype=np.int64)
     rank = np.zeros(shape, dtype=np.int64)
     for j in range(n):  # j = n - i: walk the variables from the last one
         for e in exps:
             tail += e[..., n - 1 - j]
-        rank += pascal[tail + j, j + 1]
+        # C(tail + j, j + 1) by a running product: step i turns c = C(x, i)
+        # into C(x, i) (x - i) = C(x, i + 1) (i + 1), so each division is exact.
+        c = np.ones(shape, dtype=np.int64)
+        for i in range(j + 1):
+            c = c * (tail + j - i) // (i + 1)
+        rank += c
     return rank
 
 

@@ -173,7 +173,9 @@ def _symmetrized_moments(d_max: int) -> tuple[np.ndarray, float]:
     base = w * w * (t1 - t2) ** 2
     s = t1 + t2
     p = t1 * t2
-    raw = np.array([np.sum(base * s**a * p**b) for a, b in glex_enumerate(2, d_max).indices])
+    base_s = [base * s**a for a in range(d_max + 1)]
+    p_pow = [p**b for b in range(d_max + 1)]
+    raw = np.array([np.sum(base_s[a] * p_pow[b]) for a, b in glex_enumerate(2, d_max).indices])
     return raw / raw[0], float(raw[0])
 
 
@@ -299,20 +301,10 @@ def load_moments(path) -> MomentSequence:
 # Raw moment matrices.
 
 
-@dataclass(frozen=True, eq=False)
-class MomentMatrix:
-    """Symmetric s_d x s_d matrix with entry (alpha, beta) = y_{alpha+beta}."""
-
-    d: int
-    table: GlexTable
-    array: np.ndarray = field(repr=False)
-
-
-def moment_matrix(seq: MomentSequence, d: int) -> MomentMatrix:
-    table = glex_enumerate(seq.n, d)
-    exps = np.array(table.indices)
-    a = seq.vector(glex_enumerate(seq.n, 2 * d))[glex_rank(exps[:, None], exps[None, :])]
-    return MomentMatrix(d, table, a)
+def moment_matrix(seq: MomentSequence, d: int) -> np.ndarray:
+    """Symmetric s_d x s_d matrix with entry (alpha, beta) = y_{alpha+beta}, Glex layout."""
+    exps = np.array(glex_enumerate(seq.n, d).indices)
+    return seq.vector(glex_enumerate(seq.n, 2 * d))[glex_rank(exps[:, None], exps[None, :])]
 
 
 def psd_cholesky(mat, eps_pd: float = 1e-10) -> np.ndarray:
@@ -322,7 +314,7 @@ def psd_cholesky(mat, eps_pd: float = 1e-10) -> np.ndarray:
     tolerance is meaningful for measures whose moments span many orders of
     magnitude; the returned factor is for the original matrix.
     """
-    a = np.asarray(mat.array if isinstance(mat, MomentMatrix) else mat, dtype=float)
+    a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("psd_cholesky needs a square matrix")
     amax = np.abs(a).max() if a.size else 1.0

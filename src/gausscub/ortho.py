@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .indexing import GlexTable, MultiIndex, dim_total, glex_rank
+from .indexing import GlexTable, MultiIndex, dim_total, glex_enumerate, glex_rank
 from .measures import MomentSequence, moment_matrix, psd_cholesky
 
 
@@ -36,35 +36,24 @@ class OrthoBasis:
         return self.coeffs[self.table.rank(alpha)]
 
 
-@dataclass(frozen=True, eq=False)
-class OrthoMomentMatrix:
-    """Moment matrix of a sequence z expressed in the orthonormal basis."""
-
-    d: int
-    array: np.ndarray = field(repr=False)
-
-
 def build_orthobasis(y: MomentSequence, d: int) -> OrthoBasis:
     """Orthonormalize the monomials up to degree d (needs moments to 2d)."""
-    mm = moment_matrix(y, d)
-    low = psd_cholesky(mm)
+    low = psd_cholesky(moment_matrix(y, d))
     s = solve_triangular(low, np.eye(low.shape[0]), lower=True)
-    return OrthoBasis(y.n, d, mm.table, s, low)
+    return OrthoBasis(y.n, d, glex_enumerate(y.n, d), s, low)
 
 
-def eval_monomials(table: GlexTable, point) -> np.ndarray:
-    """Values of every monomial in the table at a point."""
-    x = np.asarray(point, dtype=float)
-    exps = np.array(table.indices)
-    return np.prod(x[None, :] ** exps, axis=1)
+def eval_monomials(table: GlexTable, points) -> np.ndarray:
+    """Values of every monomial in the table at points of shape (..., n): (..., len(table))."""
+    x = np.asarray(points, dtype=float)
+    return np.prod(x[..., None, :] ** np.array(table.indices), axis=-1)
 
 
-def eval_P(basis: OrthoBasis, m: int, point) -> np.ndarray:
-    """Values of the degree-m block (P_alpha, |alpha| = m) at a point."""
+def eval_P(basis: OrthoBasis, m: int, points) -> np.ndarray:
+    """Values of the degree-m block (P_alpha, |alpha| = m) at points (..., n): (..., r_m)."""
     if m > basis.d:
         raise ValueError(f"basis built to degree {basis.d}, requested block {m}")
-    mono = eval_monomials(basis.table, point)
-    return basis.coeffs[basis.block(m)] @ mono
+    return eval_monomials(basis.table, points) @ basis.coeffs[basis.block(m)].T
 
 
 def product_monomials(basis: OrthoBasis, m: int) -> np.ndarray:
@@ -99,12 +88,11 @@ def product_expansion(basis: OrthoBasis, m: int) -> np.ndarray:
     return product_monomials(basis, m) @ basis.chol[:s2m, :s2m]
 
 
-def gram_in_ortho_basis(z: MomentSequence, basis: OrthoBasis, d: int) -> OrthoMomentMatrix:
+def gram_in_ortho_basis(z: MomentSequence, basis: OrthoBasis, d: int) -> np.ndarray:
     """S_d M_d(z) S_d^T: moment matrix of z in the orthonormal basis of y."""
     if d > basis.d:
         raise ValueError(f"basis built to degree {basis.d}, requested degree {d}")
     sd = dim_total(z.n, d)
     s = basis.coeffs[:sd, :sd]
-    m = moment_matrix(z, d).array
-    g = s @ m @ s.T
-    return OrthoMomentMatrix(d, 0.5 * (g + g.T))
+    g = s @ moment_matrix(z, d) @ s.T
+    return 0.5 * (g + g.T)

@@ -65,7 +65,7 @@ def build_Q(basis: OrthoBasis, u: np.ndarray, sign: int = -1) -> CertificatePoly
 
 def _moments_times_Q(y: MomentSequence, q: CertificatePolynomial) -> np.ndarray:
     """L_y(x^alpha Q) for every |alpha| <= 2m, in np.longdouble (so are its contractions)."""
-    return moment_matrix(y, 2 * q.m).array.astype(np.longdouble) @ q.coeffs
+    return moment_matrix(y, 2 * q.m).astype(np.longdouble) @ q.coeffs
 
 
 def verify_corollary(
@@ -86,9 +86,7 @@ def verify_remark(
 ) -> RemarkReport:
     """Check the rule/certificate identities; all deviations should be ~0."""
     w_prob = rule.weights / rule.scale
-    u_rule = sum(
-        w * eval_P(basis, 2 * m, x) for w, x in zip(w_prob, rule.nodes, strict=True)
-    )
+    u_rule = w_prob @ eval_P(basis, 2 * m, rule.nodes)
     dev_u = float(np.abs(u_rule - q.u).max())
     hq = _moments_times_Q(y, q)
     pq = basis.coeffs @ hq  # L_y(P_alpha Q), |alpha| <= 2m

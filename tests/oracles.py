@@ -12,7 +12,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from gausscub.indexing import MultiIndex, add, pair_rank
+from gausscub.indexing import MultiIndex, add, glex_enumerate, pair_rank
 from gausscub.measures import MomentSequence, moment_matrix
 from gausscub.ortho import OrthoBasis, product_expansion
 
@@ -28,13 +28,13 @@ def ortho_det_oracle(y: MomentSequence, sigma: MultiIndex) -> np.ndarray:
     sigma = tuple(sigma)
     d = sum(sigma)
     mm = moment_matrix(y, d)
-    k = mm.table.rank(sigma)
-    sub = mm.array[:k, : k + 1]
+    k = glex_enumerate(y.n, d).rank(sigma)
+    sub = mm[:k, : k + 1]
     coeff = np.empty(k + 1)
     for j in range(k + 1):
         cols = [c for c in range(k + 1) if c != j]
         coeff[j] = (-1.0) ** (k + j) * np.linalg.det(sub[:, cols])
-    norm2 = coeff @ mm.array[: k + 1, : k + 1] @ coeff
+    norm2 = coeff @ mm[: k + 1, : k + 1] @ coeff
     if norm2 <= 0:
         raise ValueError(f"degenerate moments: zero bordered determinant for sigma={sigma}")
     coeff /= np.sqrt(norm2)

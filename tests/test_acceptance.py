@@ -145,7 +145,7 @@ def test_criterion_6_structural_invariants(tmp_path):
     for spec_text in ("lebesgue", "chebyshev2", "hermite", "lebesgue^2", "symmetrized:0.5", "chebyshev1^3"):
         y = catalog(spec_text, 8)
         basis = build_orthobasis(y, 4)
-        gram = basis.coeffs @ moment_matrix(y, 4).array @ basis.coeffs.T
+        gram = basis.coeffs @ moment_matrix(y, 4) @ basis.coeffs.T
         assert np.abs(gram - np.eye(len(basis.table))).max() <= 1e-10, spec_text
     # determinant-oracle agreement
     y = catalog("lebesgue^2", 8)

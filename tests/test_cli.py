@@ -57,6 +57,26 @@ def test_cubature_and_verify_roundtrip(capsys, tmp_path):
     assert "verified" in out
 
 
+def test_verify_needs_moments_only_to_degree_2m(capsys, tmp_path):
+    rule_path = str(tmp_path / "rule.txt")
+    moments_path = str(tmp_path / "m.txt")
+    run_cli(capsys, "cubature", "--catalog", "chebyshev2^1", "--m", "3", "--out", rule_path)
+    run_cli(capsys, "moments", "--catalog", "chebyshev2^1", "--d-max", "6", "--out", moments_path)
+    code, out, err = run_cli(capsys, "verify", "--rule", rule_path, "--moments", moments_path)
+    assert code == EXIT_OK, err
+    assert "verified" in out
+
+
+def test_verify_rejects_a_rule_of_another_dimension(capsys, tmp_path):
+    for spec, m, other in (("lebesgue^1", 2, "lebesgue^2"), ("symmetrized:0.5", 2, "lebesgue^1")):
+        rule_path = str(tmp_path / "rule.txt")
+        code, _, _ = run_cli(capsys, "cubature", "--catalog", spec, "--m", str(m), "--out", rule_path)
+        assert code == EXIT_OK
+        code, _, err = run_cli(capsys, "verify", "--rule", rule_path, "--catalog", other)
+        assert code == EXIT_INPUT
+        assert "dimension" in err
+
+
 def test_verify_detects_tampering(capsys, tmp_path):
     rule_path = tmp_path / "rule.txt"
     run_cli(capsys, "cubature", "--catalog", "lebesgue^1", "--m", "2", "--out", str(rule_path))

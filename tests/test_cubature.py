@@ -58,7 +58,7 @@ def test_complete_moments_block_structure():
 
     y, basis, verdict = _solve("symmetrized:0.5", 2)
     z = complete_moments(y, basis, verdict.u, 2)
-    g = gram_in_ortho_basis(z, basis, 2).array
+    g = gram_in_ortho_basis(z, basis, 2)
     s1 = dim_total(2, 1)
     assert np.abs(g[:s1, :s1] - np.eye(s1)).max() <= 1e-10
     assert np.abs(g[s1:, :s1]).max() <= 1e-10

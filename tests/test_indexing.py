@@ -132,6 +132,17 @@ def test_glex_rank_matches_table():
             assert sums.tolist() == [[table.rank(add(a, b)) for b in low] for a in low]
 
 
+def test_glex_rank_high_degree_and_unit_shift():
+    for n, d in ((1, 20), (2, 20), (3, 12), (4, 10)):
+        table = glex_enumerate(n, d)
+        assert glex_rank(np.array(table.indices)).tolist() == list(range(len(table)))
+        # the e_i shift of multiplication_operators
+        low = np.array(glex_enumerate(n, (d - 1) // 2).indices)
+        for ei in np.eye(n, dtype=int):
+            ranks = glex_rank(low[:, None], low[None, :], ei)
+            assert ranks.tolist() == [[table.rank(add(add(a, b), ei)) for b in low] for a in low]
+
+
 def test_pair_rank_trivial_cases():
     assert pair_rank((2,), (2,), 2) == 0
     assert pair_count(1, 2) == 1

@@ -83,6 +83,16 @@ def test_symmetrized_moments_symmetry():
     assert y.value((1, 0)) == pytest.approx(0.0, abs=1e-14)
 
 
+def test_symmetrized_moments_match_a_denser_quadrature():
+    # Gauss-Chebyshev with 40 points per variable is exact for these degrees
+    t = np.cos((2 * np.arange(1, 41) - 1) * math.pi / 80)
+    t1, t2 = t[:, None], t[None, :]
+    weight = (t1 - t2) ** 2
+    expected = [np.sum(weight * (t1 + t2) ** a * (t1 * t2) ** b) for a, b in glex_enumerate(2, 12).indices]
+    got = catalog("symmetrized:0.5", 12).array
+    assert got == pytest.approx(np.array(expected) / expected[0], rel=1e-12, abs=1e-13)
+
+
 def test_symmetrized_mass():
     # raw mass = 2 * integral(t^2) * pi = pi^2 by expanding (t1 - t2)^2
     assert catalog("symmetrized:0.5", 4).scale == pytest.approx(math.pi**2, rel=1e-13)
@@ -174,7 +184,7 @@ def test_unnormalized_file_then_normalize(tmp_path):
 def test_moment_matrix_1d():
     y = catalog("lebesgue", 4)
     mm = moment_matrix(y, 1)
-    assert np.allclose(mm.array, [[1.0, 0.0], [0.0, 1.0 / 3.0]])
+    assert np.allclose(mm, [[1.0, 0.0], [0.0, 1.0 / 3.0]])
     with pytest.raises(ValueError):
         moment_matrix(y, 3)  # needs degree 6 moments
 
@@ -185,7 +195,7 @@ def test_moment_matrix_copies_moments_exactly():
     y = MomentSequence(3, 6, rng.standard_normal(len(table)), normalized=False)
     rows = glex_enumerate(3, 3).indices
     expected = [[y.value(tuple(a + b for a, b in zip(ra, rb))) for rb in rows] for ra in rows]
-    assert np.array_equal(moment_matrix(y, 3).array, np.array(expected))
+    assert np.array_equal(moment_matrix(y, 3), np.array(expected))
 
 
 def test_moment_matrix_layout_matches_bordered_rows():
@@ -194,8 +204,8 @@ def test_moment_matrix_layout_matches_bordered_rows():
     y = catalog("lebesgue^2", 4)
     mm = moment_matrix(y, 2)
     first_row = [y.value(a) for a in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
-    assert np.allclose(mm.array[0], first_row)
-    assert np.allclose(mm.array, mm.array.T)
+    assert np.allclose(mm[0], first_row)
+    assert np.allclose(mm, mm.T)
 
 
 @pytest.mark.parametrize(
@@ -204,7 +214,7 @@ def test_moment_matrix_layout_matches_bordered_rows():
 def test_catalog_moment_matrices_psd(spec_text, n):
     y = catalog(spec_text, 8)
     for d in range(5):
-        arr = moment_matrix(y, d).array
+        arr = moment_matrix(y, d)
         low = psd_cholesky(arr)
         assert np.allclose(low @ low.T, arr, atol=1e-10 * max(1.0, abs(arr).max()))
         assert np.min(np.linalg.eigvalsh(arr)) >= -1e-10 * abs(arr).max()
@@ -215,7 +225,7 @@ def test_psd_cholesky_identity():
 
 
 def test_psd_cholesky_pd_by_eigenvalue_oracle():
-    arr = moment_matrix(catalog("lebesgue", 4), 2).array
+    arr = moment_matrix(catalog("lebesgue", 4), 2)
     assert np.linalg.eigvalsh(arr).min() > 0  # oracle
     low = psd_cholesky(arr)
     assert np.all(np.diag(low) > 0)

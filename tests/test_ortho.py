@@ -60,7 +60,7 @@ def test_triangular_with_positive_diagonal():
 def test_orthonormality(spec_text, d):
     y = catalog(spec_text, 2 * d)
     basis = build_orthobasis(y, d)
-    gram = basis.coeffs @ moment_matrix(y, d).array @ basis.coeffs.T
+    gram = basis.coeffs @ moment_matrix(y, d) @ basis.coeffs.T
     assert np.abs(gram - np.eye(len(basis.table))).max() <= 1e-10
 
 
@@ -104,6 +104,20 @@ def test_eval_P_1d_values():
     basis = basis_for("lebesgue", 2)
     assert eval_P(basis, 2, [0.0]) == pytest.approx([-SQ5 / 2])
     assert eval_P(basis, 0, [0.42]) == pytest.approx([1.0])
+
+
+@pytest.mark.parametrize("spec_text,m", [("lebesgue", 6), ("symmetrized:0.5", 3)])
+def test_eval_P_at_many_points_matches_single_points(spec_text, m):
+    basis = basis_for(spec_text, m)
+    nodes = np.random.default_rng(3).uniform(-1.0, 1.0, size=(7, basis.n))
+    vals = eval_P(basis, m, nodes)
+    assert vals.shape == (7, len(basis.table.indices[basis.block(m)]))
+    stacked = np.stack([eval_P(basis, m, x) for x in nodes])
+    assert np.abs(vals - stacked).max() <= 1e-14 * np.abs(stacked).max()
+    # loop reference: the block's rows against monomial values, node by node
+    block = basis.coeffs[basis.block(m)]
+    ref = [block @ [math.prod(xi**ai for xi, ai in zip(x, a)) for a in basis.table.indices] for x in nodes]
+    assert np.abs(vals - np.array(ref)).max() <= 1e-14 * np.abs(stacked).max()
 
 
 def test_triple_product_values(leb1):
@@ -156,7 +170,7 @@ def test_gram_in_ortho_basis_identity():
         y = catalog(spec_text, 8)
         basis = build_orthobasis(y, 4)
         for d in (0, 2, 4):
-            g = gram_in_ortho_basis(y, basis, d).array
+            g = gram_in_ortho_basis(y, basis, d)
             assert np.abs(g - np.eye(dim_total(2, d))).max() <= 1e-10
 
 

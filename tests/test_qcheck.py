@@ -121,7 +121,7 @@ def test_remark_top_degree_matches_exact_evaluation():
     y, basis, verdict = _yes_instance("chebyshev1", m)
     q = build_Q(basis, verdict.u)
     remark = verify_remark(y, basis, q, m, build_rule(y, basis, m))
-    hq = [sum(Fraction(h) * Fraction(c) for h, c in zip(row, q.coeffs)) for row in moment_matrix(y, 2 * m).array]
+    hq = [sum(Fraction(h) * Fraction(c) for h, c in zip(row, q.coeffs)) for row in moment_matrix(y, 2 * m)]
     top = basis.coeffs[basis.block(2 * m)]
     exact = max(
         abs(float(sum(Fraction(s) * h for s, h in zip(row, hq)) - Fraction(q.sign * u)))
