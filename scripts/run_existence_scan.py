@@ -3,9 +3,10 @@
 
 For each (measure, m) pair this prints the system dimensions, the relative
 least-squares residual, the commutation defect of the multiplication
-operators, and whether the two criteria agree.  A numerical breakdown (the
-moment matrix losing positive definiteness, or a degenerate joint spectrum)
-is printed as a `numerical failure` row and the scan goes on.
+operators, and whether the two criteria agree.  Each level m reads moments
+to degree 2m only.  A numerical breakdown (the moment matrix losing positive
+definiteness, a NO residual within the noise floor, or a degenerate joint
+spectrum) is printed as a `numerical failure` row and the scan goes on.
 """
 
 import argparse
@@ -18,7 +19,7 @@ from gausscub.cubature import (
     commutation_defect,
     multiplication_operators,
 )
-from gausscub.existence import assemble_system, solve_existence
+from gausscub.existence import NoiseFloorError, assemble_system, solve_existence
 from gausscub.measures import NotPositiveDefiniteError, catalog_moments, parse_measure_spec
 from gausscub.ortho import build_orthobasis
 
@@ -42,14 +43,14 @@ def scan(measures, m_max, tol):
     for text in measures:
         spec = parse_measure_spec(text)
         for m in range(1, m_max + 1):
-            y = catalog_moments(spec, 4 * m)
+            y = catalog_moments(spec, 2 * m)
             try:
-                basis = build_orthobasis(y, 2 * m)
-            except NotPositiveDefiniteError as e:
-                print(f"{text:>16} {m:>2} {'':>8} {'':>12} {'':>10}  numerical failure (pivot {e.pivot_index})")
+                basis = build_orthobasis(y, m)
+                system = assemble_system(y, basis, m)
+                verdict = solve_existence(system, tol)
+            except (NotPositiveDefiniteError, NoiseFloorError) as e:
+                print(f"{text:>16} {m:>2} {'':>8} {'':>12} {'':>10}  numerical failure ({e})")
                 continue
-            system = assemble_system(y, basis, m)
-            verdict = solve_existence(system, tol)
             ops = multiplication_operators(y, basis, m)
             defect = commutation_defect(ops)
             scale = max(1.0, max(np.abs(mat).max() for mat in ops.matrices))

@@ -13,7 +13,7 @@ from .cubature import (
     store_rule,
     verify_exactness,
 )
-from .existence import ExpansionSystem, Verdict, assemble_system, solve_existence
+from .existence import ExpansionSystem, NoiseFloorError, Verdict, assemble_system, solve_existence
 from .indexing import dim_homog, dim_total, glex_enumerate, pair_rank
 from .measures import (
     MeasureSpec,

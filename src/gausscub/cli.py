@@ -2,7 +2,8 @@
 
 Subcommands: moments, ortho, exists, cubature, qcheck, verify.
 Exit codes: 0 success / rule exists, 10 no Gaussian cubature (or failed
-verification), 20 input or format error, 30 numerical failure.
+verification), 20 input or format error, 30 numerical failure (including a
+NO residual within the noise floor).
 """
 
 from __future__ import annotations
@@ -88,16 +89,17 @@ def _load_sequence(cfg: RunConfig, d_max: int):
     return measures.normalize_probability(seq), None
 
 
-def _existence(cfg: RunConfig):
-    seq, box = _load_sequence(cfg, 4 * cfg.m)
-    basis = ortho.build_orthobasis(seq, 2 * cfg.m)
+def _existence(cfg: RunConfig, d: int):
+    """Decide existence at level cfg.m from moments to degree 2d and the basis to d >= m."""
+    seq, box = _load_sequence(cfg, 2 * d)
+    basis = ortho.build_orthobasis(seq, d)
     system = existence.assemble_system(seq, basis, cfg.m)
     verdict = existence.solve_existence(system, cfg.tol)
     return seq, box, basis, system, verdict
 
 
 def _cmd_exists(cfg: RunConfig) -> tuple[int, str]:
-    seq, _, _, system, verdict = _existence(cfg)
+    seq, _, _, system, verdict = _existence(cfg, cfg.m)
     rep = Report(cfg.fmt)
     rep.add("verdict", "exists" if verdict.exists else "no-gaussian-cubature")
     rep.add("t_m", system.shape[0])
@@ -107,12 +109,13 @@ def _cmd_exists(cfg: RunConfig) -> tuple[int, str]:
     rep.add("residual", verdict.residual)
     rep.add("relative_residual", verdict.relative_residual)
     rep.add("tol", verdict.tol)
+    rep.add("noise_floor", system.noise_floor)
     rep.add("u", _vec(verdict.u))
     return (EXIT_OK if verdict.exists else EXIT_NO_CUBATURE), rep.render()
 
 
 def _cmd_cubature(cfg: RunConfig) -> tuple[int, str]:
-    seq, box, basis, system, verdict = _existence(cfg)
+    seq, box, basis, system, verdict = _existence(cfg, cfg.m)
     rep = Report(cfg.fmt)
     rep.add("verdict", "exists" if verdict.exists else "no-gaussian-cubature")
     rep.add("relative_residual", verdict.relative_residual)
@@ -121,7 +124,7 @@ def _cmd_cubature(cfg: RunConfig) -> tuple[int, str]:
     rule = cub.build_rule(
         seq, basis, cfg.m, commutation_tol=cfg.commutation_tol, seed=cfg.seed, box=box
     )
-    z = cub.complete_moments(seq, basis, verdict.u, cfg.m)
+    z = cub.complete_moments(seq, verdict.u, cfg.m)
     flat = cub.flatness_check(z, basis, cfg.m)
     rep.add("nodes", rule.nodes.shape[0])
     rep.add("precision", rule.precision)
@@ -202,7 +205,8 @@ def _cmd_ortho(cfg: RunConfig) -> tuple[int, str]:
 
 
 def _cmd_qcheck(cfg: RunConfig) -> tuple[int, str]:
-    seq, box, basis, _, verdict = _existence(cfg)
+    # Q needs P_kappa with |kappa| = 2m: the basis to 2m, moments to 4m
+    seq, box, basis, _, verdict = _existence(cfg, 2 * cfg.m)
     rep = Report(cfg.fmt)
     rep.add("verdict", "exists" if verdict.exists else "no-gaussian-cubature")
     if not verdict.exists:
@@ -290,7 +294,7 @@ def main(argv=None) -> int:
     except (measures.MomentFormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (measures.NotPositiveDefiniteError, cub.DegenerateSpectrumError) as e:
+    except (measures.NotPositiveDefiniteError, cub.DegenerateSpectrumError, existence.NoiseFloorError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     if text:

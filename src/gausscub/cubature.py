@@ -1,7 +1,7 @@
 """Rule construction: moment completion, node extraction, weights, checks.
 
 Two independent routes are kept side by side.  The flat-extension route
-completes the degree-2m moments from the existence solution u and checks the
+completes the degree-2m moments from the existence solution v and checks the
 rank collapse of the completed moment matrix.  The multiplication-operator
 route compresses coordinate multiplication to the degree-(m-1) orthonormal
 basis; pairwise commutation of the n operators is the classical existence
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from numpy.random import default_rng  # numpy loads it lazily: load it on import, not in a request
 
 from .indexing import dim_homog, dim_total, glex_enumerate, glex_rank
 from .measures import MomentFormatError, MomentSequence
@@ -62,34 +62,18 @@ class CubatureRule:
     report: ExactnessReport | None = None
 
 
-def complete_moments(y: MomentSequence, basis: OrthoBasis, u: np.ndarray, m: int) -> MomentSequence:
-    """Extend y to degree 2m so the top orthonormal block has moments u.
+def complete_moments(y: MomentSequence, v: np.ndarray, m: int) -> MomentSequence:
+    """Extend y to degree 2m: the degree-2m moments shift by v, lower degrees are copied.
 
-    The degree-2m raw moments solve a triangular system in the diagonal
-    block of the change-of-basis matrix; lower degrees are copied verbatim.
+    v is the existence solution: the shift that makes the completion flat.
     """
-    if basis.d < 2 * m:
-        raise ValueError(f"basis built to degree {basis.d}, need {2 * m}")
     r2m = dim_homog(y.n, 2 * m)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (r2m,):
-        raise ValueError(f"u must have length r_2m = {r2m}")
-    s_lo = dim_total(y.n, 2 * m - 1)
-    s_hi = dim_total(y.n, 2 * m)
-    rows = basis.coeffs[s_lo:s_hi, :s_hi]  # zero beyond rank s_hi
-    s2m = rows[:, s_lo:]
-    theta = rows[:, :s_lo]
-    y_low = y.truncate(2 * m - 1).array
-    if np.abs(np.diag(s2m)).min() == 0.0:
-        raise ValueError("degenerate basis: singular top-degree block")
-    x2m = solve_triangular(s2m, u - theta @ y_low, lower=True)
-    z = MomentSequence(
-        y.n, 2 * m, np.concatenate([y_low, x2m]), normalized=y.normalized, scale=y.scale
-    )
-    check = rows @ z.array
-    if np.abs(check - u).max() > 1e-9 * max(1.0, np.abs(u).max()):
-        raise RuntimeError("moment completion failed the consistency check against u")
-    return z
+    v = np.asarray(v, dtype=float)
+    if v.shape != (r2m,):
+        raise ValueError(f"v must have length r_2m = {r2m}")
+    z = y.truncate(2 * m).array.copy()
+    z[dim_total(y.n, 2 * m - 1) :] += v
+    return MomentSequence(y.n, 2 * m, z, normalized=y.normalized, scale=y.scale)
 
 
 def flatness_check(
@@ -165,7 +149,7 @@ def extract_nodes(
         raise ValueError(
             f"operators do not commute (defect {defect:.3e}); no Gaussian cubature"
         )
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     size = ops.matrices[0].shape[0]
     for _ in range(max_attempts):
         c = rng.random(ops.n)

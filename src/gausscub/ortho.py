@@ -4,8 +4,7 @@ The family is represented by a lower-triangular coefficient matrix S over
 the Glex monomial basis: row alpha holds the monomial coefficients of
 P_alpha.  It is S = L^-1 for the Cholesky factor L of the moment matrix,
 the unique family with unit norms, triangular support and positive leading
-coefficients.  Since M S^T = L, the factor also expands any polynomial in
-the family: monomial coefficients c give orthonormal coefficients c L.
+coefficients.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .indexing import GlexTable, MultiIndex, dim_total, glex_enumerate, glex_rank
 from .measures import MomentSequence, moment_matrix, psd_cholesky
@@ -27,7 +25,6 @@ class OrthoBasis:
     d: int
     table: GlexTable
     coeffs: np.ndarray = field(repr=False)  # row alpha = P_alpha in monomial basis
-    chol: np.ndarray = field(repr=False)  # L with M = L L^T and coeffs = L^-1
 
     def block(self, m: int) -> slice:
         return self.table.block(m)
@@ -38,9 +35,14 @@ class OrthoBasis:
 
 def build_orthobasis(y: MomentSequence, d: int) -> OrthoBasis:
     """Orthonormalize the monomials up to degree d (needs moments to 2d)."""
-    low = psd_cholesky(moment_matrix(y, d))
-    s = solve_triangular(low, np.eye(low.shape[0]), lower=True)
-    return OrthoBasis(y.n, d, glex_enumerate(y.n, d), s, low)
+    mm = moment_matrix(y, d)
+    low = psd_cholesky(mm)
+    # L^-1 = (D^-1 L)^-1 D^-1, D = sqrt(diag M): on the unit-norm rows of D^-1 L the
+    # pivoted solve is as accurate as a triangular one, on L itself not when the
+    # moments span many decades; tril keeps the exact zeros the slices rely on
+    scale = np.sqrt(np.diag(mm))
+    s = np.tril(np.linalg.solve(low / scale[:, None], np.eye(len(scale)))) / scale
+    return OrthoBasis(y.n, d, glex_enumerate(y.n, d), s)
 
 
 def eval_monomials(table: GlexTable, points) -> np.ndarray:
@@ -60,10 +62,10 @@ def product_monomials(basis: OrthoBasis, m: int) -> np.ndarray:
     """Monomial coefficients of every product P_gamma P_beta, |gamma| = |beta| = m.
 
     Row pair_rank(gamma, beta, m), column rank(alpha) for |alpha| <= 2m holds
-    the coefficient of x^alpha.
+    the coefficient of x^alpha.  Needs the basis only to degree m.
     """
-    if basis.d < 2 * m:
-        raise ValueError(f"basis built to degree {basis.d}, need {2 * m}")
+    if basis.d < m:
+        raise ValueError(f"basis built to degree {basis.d}, need {m}")
     sm, s2m = dim_total(basis.n, m), dim_total(basis.n, 2 * m)
     block = basis.coeffs[basis.block(m), :sm]
     left, right = (block[i] for i in np.triu_indices(block.shape[0]))  # pair_rank order
@@ -74,18 +76,6 @@ def product_monomials(basis: OrthoBasis, m: int) -> np.ndarray:
         # e_a + e_b is distinct over b, so the scatter has no collisions
         prod[:, sums[a]] += left[:, a, None] * right
     return prod
-
-
-def product_expansion(basis: OrthoBasis, m: int) -> np.ndarray:
-    """Orthonormal coefficients of every product P_gamma P_beta, |gamma| = |beta| = m.
-
-    Row pair_rank(gamma, beta, m), column rank(theta) for |theta| <= 2m holds
-    L_y(P_gamma P_beta P_theta).  The rows are the products' monomial
-    coefficients times the Cholesky factor (M S^T = L): the moments enter
-    only through the factor.
-    """
-    s2m = dim_total(basis.n, 2 * m)
-    return product_monomials(basis, m) @ basis.chol[:s2m, :s2m]
 
 
 def gram_in_ortho_basis(z: MomentSequence, basis: OrthoBasis, d: int) -> np.ndarray:

@@ -1,17 +1,17 @@
-"""Certificate polynomial built from an existence solution u, and its checks.
+"""Certificate polynomial built from an existence solution, and its checks.
 
 A positive verdict is equivalent to existence of a degree-2m combination Q
 of the orthonormal polynomials with integral(P_gamma P_beta Q) = delta for
-all degree-m pairs.  With u solving a0 + A2m u = 0 that identity holds for
-Q = -u^T P_2m; the `sign` flag also exposes the +u convention, under which
-the pairing instead returns -I.
+all degree-m pairs.  With v solving a0 + A2m v = 0 and u = S_top v, that
+identity holds for Q = -u^T P_2m; the `sign` flag also exposes the +u
+convention, under which the pairing instead returns -I.
 
 Every check pairs Q with the raw moments: one product of the moment matrix
 with Q's monomial coefficients gives L_y(x^alpha Q) for all |alpha| <= 2m,
 and each identity is a contraction of that vector with monomial
 coefficients, evaluated in np.longdouble so that the reported deviation is
 the certificate's and not rounding noise.  The checks never go through the
-Cholesky factor: there L_y(P_gamma P_beta Q) - delta is a0 + A2m u, the
+Cholesky factor: there L_y(P_gamma P_beta Q) - delta is a0 + A2m v, the
 existence residual itself, and the top-degree pairing is sign * u exactly,
 so both checks would hold by construction.
 """
@@ -48,18 +48,23 @@ class RemarkReport:
     mean: float  # integral of Q itself (must vanish)
 
 
-def build_Q(basis: OrthoBasis, u: np.ndarray, sign: int = -1) -> CertificatePolynomial:
-    """Monomial coefficients of sign * u^T P_2m (degree-2m block of the basis)."""
+def build_Q(basis: OrthoBasis, v: np.ndarray, sign: int = -1) -> CertificatePolynomial:
+    """Monomial coefficients of sign * u^T P_2m (degree-2m block of the basis).
+
+    v is the existence solution (the degree-2m moment shift); u = S_top v.
+    """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     if basis.d % 2 != 0:
         raise ValueError("basis degree must be even (2m)")
     m = basis.d // 2
     r2m = dim_homog(basis.n, 2 * m)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (r2m,):
-        raise ValueError(f"u must have length r_2m = {r2m}")
-    coeffs = sign * (u @ basis.coeffs[basis.block(2 * m)])
+    v = np.asarray(v, dtype=float)
+    if v.shape != (r2m,):
+        raise ValueError(f"v must have length r_2m = {r2m}")
+    top = basis.block(2 * m)
+    u = basis.coeffs[top, top] @ v
+    coeffs = sign * (u @ basis.coeffs[top])
     return CertificatePolynomial(basis.n, m, sign, u, coeffs, basis.table)
 
 

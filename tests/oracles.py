@@ -3,9 +3,11 @@
 `triple_product` evaluates L_y(P_gamma P_beta P_kappa) entry by entry from
 raw moments through the dict of one product's monomial coefficients that
 `product_coeffs` builds, and `ortho_det_oracle` builds P_sigma from bordered
-determinants; neither shares arithmetic with the Cholesky-factor kernel
-they check.  `full_expansion` reads every slice of one product from that
-kernel, as `assemble_system` does.
+determinants; neither shares arithmetic with the kernels they check.
+`product_expansion` is the paper's full system: every orthonormal
+coefficient of every product, through the Cholesky factor of M_2m and so
+from moments to degree 4m.  Its top slice is the assembled A2m times
+`top_factor`, and `full_expansion` reads every slice of one product from it.
 """
 
 from collections import defaultdict
@@ -13,8 +15,8 @@ from collections import defaultdict
 import numpy as np
 
 from gausscub.indexing import MultiIndex, add, glex_enumerate, pair_rank
-from gausscub.measures import MomentSequence, moment_matrix
-from gausscub.ortho import OrthoBasis, product_expansion
+from gausscub.measures import MomentSequence, moment_matrix, psd_cholesky
+from gausscub.ortho import OrthoBasis, product_monomials
 
 
 def ortho_det_oracle(y: MomentSequence, sigma: MultiIndex) -> np.ndarray:
@@ -87,17 +89,37 @@ def triple_product(
     return val
 
 
+def product_expansion(y: MomentSequence, basis: OrthoBasis, m: int) -> np.ndarray:
+    """Orthonormal coefficients of every product P_gamma P_beta, |gamma| = |beta| = m.
+
+    Row pair_rank(gamma, beta, m), column rank(theta) for |theta| <= 2m holds
+    L_y(P_gamma P_beta P_theta): the products' monomial coefficients times the
+    Cholesky factor L of M_2m (M S^T = L).  Needs moments to degree 4m.
+    """
+    return product_monomials(basis, m) @ psd_cholesky(moment_matrix(y, 2 * m))
+
+
+def top_factor(y: MomentSequence, m: int) -> np.ndarray:
+    """L_top, the degree-2m diagonal block of the Cholesky factor of M_2m.
+
+    The paper's A2m is the assembled A2m times L_top, and its unknown u is
+    S_top v = L_top^-1 v for the assembled system's v.
+    """
+    top = glex_enumerate(y.n, 2 * m).block(2 * m)
+    return psd_cholesky(moment_matrix(y, 2 * m))[top, top]
+
+
 def full_expansion(
     basis: OrthoBasis, y: MomentSequence, gamma: MultiIndex, beta: MultiIndex
 ) -> list[np.ndarray]:
     """All orthonormal-basis coefficients of P_gamma P_beta, one array per degree.
 
     The j=0 slice must be the Kronecker delta and the j=2m slice must match
-    the assembled system row.  `y` is not read: the kernel takes the moments
-    from the basis' Cholesky factor.
+    the assembled system row times `top_factor`.
     """
     m = sum(gamma)
     if sum(beta) != m:
         raise ValueError("full_expansion needs |gamma| = |beta|")
-    row = product_expansion(basis, m)[pair_rank(gamma, beta, m)]
-    return [row[basis.block(j)] for j in range(2 * m + 1)]
+    row = product_expansion(y, basis, m)[pair_rank(gamma, beta, m)]
+    table = glex_enumerate(y.n, 2 * m)
+    return [row[table.block(j)] for j in range(2 * m + 1)]

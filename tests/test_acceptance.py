@@ -32,7 +32,7 @@ from gausscub.qcheck import build_Q, verify_corollary, verify_remark
 
 from conftest import catalog
 from golub_welsch import gauss_rule
-from oracles import ortho_det_oracle
+from oracles import ortho_det_oracle, top_factor
 
 ONE_D_TAGS = ("lebesgue", "chebyshev1", "chebyshev2", "hermite")
 
@@ -86,11 +86,13 @@ def test_criterion_2_desk_scale_forward_direction():
     y, basis, verdict = _solve("lebesgue", 1)
     system = assemble_system(y, basis, 1)
     assert system.shape == (1, 1)
-    assert abs(system.A2m[0, 0] - 0.4 * math.sqrt(5.0)) <= 1e-12
-    assert abs(verdict.u[0] + math.sqrt(5.0) / 2) <= 1e-12
+    # the paper's entry L_y(P_1 P_1 P_2) and unknown u = S_top v
+    assert abs((system.A2m @ top_factor(y, 1))[0, 0] - 0.4 * math.sqrt(5.0)) <= 1e-12
+    u = basis.coeffs[2, 2] * verdict.u
+    assert abs(u[0] + math.sqrt(5.0) / 2) <= 1e-12
     nodes, weights = gauss_rule("lebesgue", 1)
     u_rule = sum(w * eval_P(basis, 2, [x]) for x, w in zip(nodes, weights))
-    assert abs(verdict.u[0] - u_rule[0]) <= 1e-12
+    assert abs(u[0] - u_rule[0]) <= 1e-12
 
 
 @_criterion("3 (negative 2-D product cases)")
@@ -189,7 +191,7 @@ def test_criterion_7_flatness_path():
     for spec_text, m in [("lebesgue", 2), ("chebyshev2", 3), ("symmetrized:0.5", 2), ("symmetrized:0.5", 3)]:
         y, basis, verdict = _solve(spec_text, m)
         assert verdict.exists
-        z = complete_moments(y, basis, verdict.u, m)
+        z = complete_moments(y, verdict.u, m)
         report = flatness_check(z, basis, m)
         assert report.flat, (spec_text, m)
         assert report.rank == dim_total(y.n, m - 1), (spec_text, m)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,31 @@ def test_exists_machine_report_keys(capsys):
     )
     assert code == EXIT_OK
     keys = {line.split(" = ")[0] for line in out.strip().splitlines()}
-    assert {"verdict", "t_m", "r_2m", "rank", "residual", "relative_residual", "u"} <= keys
+    assert {"verdict", "t_m", "r_2m", "rank", "residual", "relative_residual", "u", "noise_floor"} <= keys
+
+
+def test_exists_symmetrized_reach_ends_in_exit_30_not_a_wrong_no(capsys):
+    # moments to 2m decide YES through m = 7; from m = 8 on the residual is
+    # within the noise floor (m = 8, 9) or M_m is not positive definite
+    # (m = 10), and neither may read as "no Gaussian cubature"
+    for m in range(5, 11):
+        code, _, err = run_cli(capsys, "exists", "--catalog", "symmetrized:0.5", "--m", str(m))
+        assert code != EXIT_NO_CUBATURE, m
+        if m <= 7:
+            assert code == EXIT_OK, (m, err)
+        elif m <= 9:
+            assert code == EXIT_NUMERICAL and "noise floor" in err, (m, err)
+
+
+@pytest.mark.parametrize(
+    "spec,reference",
+    [("lebesgue^1", np.polynomial.legendre.leggauss), ("chebyshev1^1", np.polynomial.chebyshev.chebgauss)],
+)
+def test_cubature_m10_matches_numpy_gauss_nodes(capsys, spec, reference):
+    code, out, err = run_cli(capsys, "cubature", "--catalog", spec, "--m", "10", "--format", "machine")
+    assert code == EXIT_OK, err
+    nodes = [float(re.match(r"node_\d+ = (\S+) :", line)[1]) for line in out.splitlines() if re.match(r"node_\d", line)]
+    assert np.abs(np.sort(nodes) - np.sort(reference(10)[0])).max() <= 1e-10
 
 
 def test_machine_report_deterministic(capsys):

@@ -36,7 +36,7 @@ def _solve(spec_text, m):
 
 def test_complete_moments_1d_m1():
     y, basis, verdict = _solve("lebesgue", 1)
-    z = complete_moments(y, basis, verdict.u, 1)
+    z = complete_moments(y, verdict.u, 1)
     # the completed sequence is the moment vector of the one-point rule at 0
     assert z.value((0,)) == 1.0
     assert z.value((1,)) == pytest.approx(0.0, abs=1e-14)
@@ -46,7 +46,7 @@ def test_complete_moments_1d_m1():
 
 def test_complete_moments_copies_low_degrees():
     y, basis, verdict = _solve("symmetrized:0.5", 2)
-    z = complete_moments(y, basis, verdict.u, 2)
+    z = complete_moments(y, verdict.u, 2)
     for alpha in glex_enumerate(2, 3).indices:
         assert z.value(alpha) == y.value(alpha)
 
@@ -57,7 +57,7 @@ def test_complete_moments_block_structure():
     from gausscub.ortho import gram_in_ortho_basis
 
     y, basis, verdict = _solve("symmetrized:0.5", 2)
-    z = complete_moments(y, basis, verdict.u, 2)
+    z = complete_moments(y, verdict.u, 2)
     g = gram_in_ortho_basis(z, basis, 2)
     s1 = dim_total(2, 1)
     assert np.abs(g[:s1, :s1] - np.eye(s1)).max() <= 1e-10
@@ -66,14 +66,13 @@ def test_complete_moments_block_structure():
 
 
 def test_complete_moments_validates_u(leb1):
-    basis = build_orthobasis(leb1, 2)
     with pytest.raises(ValueError, match="length"):
-        complete_moments(leb1, basis, np.zeros(3), 1)
+        complete_moments(leb1, np.zeros(3), 1)
 
 
 def test_flatness_yes_instance():
     y, basis, verdict = _solve("lebesgue", 1)
-    z = complete_moments(y, basis, verdict.u, 1)
+    z = complete_moments(y, verdict.u, 1)
     report = flatness_check(z, basis, 1)
     assert report.flat
     assert report.rank == 1
@@ -81,7 +80,7 @@ def test_flatness_yes_instance():
 
 def test_flatness_perturbed_u_fails():
     y, basis, verdict = _solve("lebesgue", 1)
-    z = complete_moments(y, basis, verdict.u + 0.1, 1)
+    z = complete_moments(y, verdict.u + 0.1, 1)
     report = flatness_check(z, basis, 1)
     assert not report.flat
     assert report.block_norm > 1e-3
@@ -250,7 +249,7 @@ def test_atomic_measure_reproduces_completed_moments():
     # flat extension z through degree 2m
     for spec_text, m in [("lebesgue", 2), ("symmetrized:0.5", 2)]:
         y, basis, verdict = _solve(spec_text, m)
-        z = complete_moments(y, basis, verdict.u, m)
+        z = complete_moments(y, verdict.u, m)
         rule = build_rule(y, basis, m)
         w_prob = rule.weights / rule.scale
         for alpha in glex_enumerate(y.n, 2 * m).indices:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from gausscub.ortho import build_orthobasis, eval_P
 
 from conftest import catalog
 from golub_welsch import gauss_rule
-from oracles import full_expansion, triple_product
+from oracles import full_expansion, product_expansion, top_factor, triple_product
 
 SQ5 = math.sqrt(5.0)
 
@@ -20,10 +21,10 @@ def test_1d_m1_system_and_solution(leb1):
     system = assemble_system(leb1, basis, 1)
     assert system.shape == (1, 1)
     assert system.a0 == pytest.approx([1.0])
-    assert system.A2m[0, 0] == pytest.approx(0.4 * SQ5)
+    assert (system.A2m @ top_factor(leb1, 1))[0, 0] == pytest.approx(0.4 * SQ5)
     verdict = solve_existence(system)
     assert verdict.exists
-    assert verdict.u == pytest.approx([-SQ5 / 2], abs=1e-12)
+    assert basis.coeffs[2, 2] * verdict.u == pytest.approx([-SQ5 / 2], abs=1e-12)
     assert verdict.residual <= 1e-14
 
 
@@ -51,8 +52,9 @@ def test_row_symmetry_in_pairs():
     system = assemble_system(y, basis, 2)
     from gausscub.indexing import pair_rank
 
+    paper = system.A2m @ top_factor(y, 2)
     for gamma, beta in system.pairs:
-        row = system.A2m[pair_rank(beta, gamma, 2)]
+        row = paper[pair_rank(beta, gamma, 2)]
         block = basis.table.indices[basis.block(4)]
         recomputed = [triple_product(y, basis, beta, gamma, k) for k in block]
         assert row == pytest.approx(recomputed, abs=1e-12)
@@ -65,7 +67,23 @@ def test_assembled_rows_match_loop_oracle(spec_text):
     system = assemble_system(y, basis, 2)
     block = basis.table.indices[basis.block(4)]
     expected = [[triple_product(y, basis, g, b, k) for k in block] for g, b in system.pairs]
-    assert system.A2m == pytest.approx(np.array(expected), abs=1e-12)
+    assert system.A2m @ top_factor(y, 2) == pytest.approx(np.array(expected), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec_text,m",
+    [("lebesgue^2", 4), ("chebyshev1^3", 3), ("lebesgue^3", 3), ("lebesgue^4", 2), ("lebesgue^4", 3)]
+    + [("symmetrized:0.5", m) for m in (1, 2, 3, 4)],
+)
+def test_leading_form_residual_equals_paper_system_residual(spec_text, m):
+    # the paper's A2m, L_y(P_gamma P_beta P_kappa) from a basis to 2m, is the
+    # assembled one times the invertible L_top: same range, same residual
+    y = catalog(spec_text, 4 * m)
+    system = assemble_system(y, build_orthobasis(y, m), m)
+    full = build_orthobasis(y, 2 * m)
+    paper = dataclasses.replace(system, A2m=product_expansion(y, full, m)[:, full.block(2 * m)])
+    rel = solve_existence(system).relative_residual
+    assert rel == pytest.approx(solve_existence(paper).relative_residual, abs=1e-12)
 
 
 def test_symmetrized_m4_system_is_consistent():
@@ -88,7 +106,9 @@ def test_1d_always_exists_and_u_matches_gauss_rule(tag):
         # nodes (independent Golub-Welsch oracle)
         nodes, weights = gauss_rule(tag, m)
         u_oracle = sum(w * eval_P(basis, 2 * m, [x]) for x, w in zip(nodes, weights))
-        assert np.abs(verdict.u - u_oracle).max() <= 1e-8 * max(1.0, np.abs(u_oracle).max())
+        top = basis.block(2 * m)
+        u = basis.coeffs[top, top] @ verdict.u
+        assert np.abs(u - u_oracle).max() <= 1e-8 * max(1.0, np.abs(u_oracle).max())
 
 
 def test_negative_case_n2_product_measures():
@@ -129,12 +149,12 @@ def test_overdetermination_grows():
 def test_assemble_preconditions(leb2):
     basis = build_orthobasis(leb2, 4)
     with pytest.raises(ValueError, match="degree"):
-        assemble_system(leb2, basis, 3)  # needs moments to 12
+        assemble_system(leb2, basis, 5)  # needs moments to 10
     raw = MomentSequence(2, 8, leb2.array.copy(), normalized=False)
     with pytest.raises(ValueError, match="normalized"):
         assemble_system(raw, basis, 2)
     with pytest.raises(ValueError, match="basis"):
-        assemble_system(leb2, build_orthobasis(leb2, 2), 2)
+        assemble_system(leb2, build_orthobasis(leb2, 1), 2)
 
 
 def test_solve_existence_validation(leb1):
@@ -156,13 +176,14 @@ def test_full_expansion_slices(leb1):
     assert slices[1] == pytest.approx([0.0], abs=1e-14)
     assert slices[2] == pytest.approx([0.4 * SQ5])
     system = assemble_system(leb1, basis, 1)
-    assert slices[2] == pytest.approx(system.A2m[0])
+    assert slices[2] == pytest.approx(system.A2m[0] @ top_factor(leb1, 1))
 
 
 def test_full_expansion_2d_agrees_with_system():
     y = catalog("symmetrized:0.5", 8)
     basis = build_orthobasis(y, 4)
     system = assemble_system(y, basis, 2)
+    paper = system.A2m @ top_factor(y, 2)
     from gausscub.indexing import pair_rank
 
     for gamma, beta in system.pairs:
@@ -171,4 +192,4 @@ def test_full_expansion_2d_agrees_with_system():
         assert slices[0] == pytest.approx(
             np.atleast_1d(system.a0[row]), abs=1e-12
         )
-        assert slices[4] == pytest.approx(system.A2m[row], abs=1e-12)
+        assert slices[4] == pytest.approx(paper[row], abs=1e-12)
