@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +33,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    catalog: str | None = None
-    moments: str | None = None
-    m: int = 1
-    tol: float = 1e-8
-    commutation_tol: float = 1e-8
-    seed: int = cub.DEFAULT_SEED
-    out: str | None = None
-    fmt: str = "text"
-    sigma: str | None = None
-    d_max: int | None = None
-    rule: str | None = None
-    sign: int = -1
+def _level(text: str) -> int:
+    m = int(text)
+    if m < 1:
+        raise argparse.ArgumentTypeError(f"m must be >= 1, got {m}")
+    return m
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {tol}")
+    return tol
 
 
 def _fmt(v: float) -> str:
@@ -77,7 +74,7 @@ class Report:
         return "\n".join(f"{k.replace('_', ' '):<{width}}  {v}" for k, v in self.lines)
 
 
-def _load_sequence(cfg: RunConfig, d_max: int):
+def _load_sequence(cfg: argparse.Namespace, d_max: int):
     """Probability-normalized moments to degree d_max from exactly one of
     --catalog / --moments, and the support box of a catalog measure (or None)."""
     if (cfg.catalog is None) == (cfg.moments is None):
@@ -89,7 +86,7 @@ def _load_sequence(cfg: RunConfig, d_max: int):
     return measures.normalize_probability(seq), None
 
 
-def _existence(cfg: RunConfig, d: int):
+def _existence(cfg: argparse.Namespace, d: int):
     """Decide existence at level cfg.m from moments to degree 2d and the basis to d >= m."""
     seq, box = _load_sequence(cfg, 2 * d)
     basis = ortho.build_orthobasis(seq, d)
@@ -98,7 +95,7 @@ def _existence(cfg: RunConfig, d: int):
     return seq, box, basis, system, verdict
 
 
-def _cmd_exists(cfg: RunConfig) -> tuple[int, str]:
+def _cmd_exists(cfg: argparse.Namespace) -> tuple[int, str]:
     seq, _, _, system, verdict = _existence(cfg, cfg.m)
     rep = Report(cfg.fmt)
     rep.add("verdict", "exists" if verdict.exists else "no-gaussian-cubature")
@@ -114,7 +111,7 @@ def _cmd_exists(cfg: RunConfig) -> tuple[int, str]:
     return (EXIT_OK if verdict.exists else EXIT_NO_CUBATURE), rep.render()
 
 
-def _cmd_cubature(cfg: RunConfig) -> tuple[int, str]:
+def _cmd_cubature(cfg: argparse.Namespace) -> tuple[int, str]:
     seq, box, basis, system, verdict = _existence(cfg, cfg.m)
     rep = Report(cfg.fmt)
     rep.add("verdict", "exists" if verdict.exists else "no-gaussian-cubature")
@@ -146,9 +143,7 @@ def _cmd_cubature(cfg: RunConfig) -> tuple[int, str]:
     return EXIT_OK, rep.render()
 
 
-def _cmd_verify(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.rule is None:
-        raise ValueError("verify needs --rule FILE")
+def _cmd_verify(cfg: argparse.Namespace) -> tuple[int, str]:
     rule = cub.load_rule(cfg.rule)
     seq, box = _load_sequence(cfg, 2 * rule.m)
     basis = ortho.build_orthobasis(seq, rule.m)
@@ -160,7 +155,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, str]:
     rep.add("inside_support", report.inside_support)
     scale_ok = abs(rule.scale - seq.scale) <= 1e-8 * max(1.0, seq.scale)
     ok = (
-        report.max_error <= cfg.tol * max(1.0, seq.scale)
+        report.max_error <= cfg.tol
         and report.node_residual <= cfg.tol
         and report.min_weight > 0
         and scale_ok
@@ -170,9 +165,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, str]:
     return (EXIT_OK if ok else EXIT_NO_CUBATURE), rep.render()
 
 
-def _cmd_moments(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.d_max is None:
-        raise ValueError("moments needs --d-max")
+def _cmd_moments(cfg: argparse.Namespace) -> tuple[int, str]:
     seq, _ = _load_sequence(cfg, cfg.d_max)
     if cfg.out:
         measures.store_moments(seq, cfg.out)
@@ -180,9 +173,7 @@ def _cmd_moments(cfg: RunConfig) -> tuple[int, str]:
     return EXIT_OK, measures.format_moments(seq)
 
 
-def _cmd_ortho(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.sigma is None:
-        raise ValueError("ortho needs --sigma")
+def _cmd_ortho(cfg: argparse.Namespace) -> tuple[int, str]:
     sigma = parse_multiindex(cfg.sigma)
     d = sum(sigma)
     seq, _ = _load_sequence(cfg, 2 * d)
@@ -204,7 +195,7 @@ def _cmd_ortho(cfg: RunConfig) -> tuple[int, str]:
     return EXIT_OK, rep.render()
 
 
-def _cmd_qcheck(cfg: RunConfig) -> tuple[int, str]:
+def _cmd_qcheck(cfg: argparse.Namespace) -> tuple[int, str]:
     # Q needs P_kappa with |kappa| = 2m: the basis to 2m, moments to 4m
     seq, box, basis, _, verdict = _existence(cfg, 2 * cfg.m)
     rep = Report(cfg.fmt)
@@ -226,20 +217,14 @@ def _cmd_qcheck(cfg: RunConfig) -> tuple[int, str]:
     return EXIT_OK, rep.render()
 
 
-_COMMANDS = {
-    "moments": _cmd_moments,
-    "ortho": _cmd_ortho,
-    "exists": _cmd_exists,
-    "cubature": _cmd_cubature,
-    "qcheck": _cmd_qcheck,
-    "verify": _cmd_verify,
-}
-
-
-def _add_source_args(p: _Parser) -> None:
+def _add_command(sub, name: str, handler, help: str | None = None) -> _Parser:
+    """Subcommand `name`, run by handler, with the moment source and output format."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(run=handler)
     p.add_argument("--catalog", help="catalog spec, e.g. lebesgue^2 or symmetrized:0.5")
     p.add_argument("--moments", help="moment file path")
     p.add_argument("--format", dest="fmt", choices=("text", "machine"), default="text")
+    return p
 
 
 @functools.cache
@@ -247,50 +232,34 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gausscub", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("moments", parents=[], help="emit a moment file")
-    _add_source_args(p)
+    p = _add_command(sub, "moments", _cmd_moments, help="emit a moment file")
     p.add_argument("--d-max", dest="d_max", type=int, required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("ortho", help="print an orthonormal polynomial")
-    _add_source_args(p)
+    p = _add_command(sub, "ortho", _cmd_ortho, help="print an orthonormal polynomial")
     p.add_argument("--sigma", required=True, help='multi-index, e.g. "1,1"')
 
-    for name in ("exists", "cubature", "qcheck"):
-        p = sub.add_parser(name)
-        _add_source_args(p)
-        p.add_argument("--m", type=int, required=True, help="half-degree (precision 2m-1)")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--commutation-tol", dest="commutation_tol", type=float, default=1e-8)
+    for name, handler in (("exists", _cmd_exists), ("cubature", _cmd_cubature), ("qcheck", _cmd_qcheck)):
+        p = _add_command(sub, name, handler)
+        p.add_argument("--m", type=_level, required=True, help="half-degree (precision 2m-1)")
+        p.add_argument("--tol", type=_tolerance, default=1e-8)
+        p.add_argument("--commutation-tol", dest="commutation_tol", type=_tolerance, default=1e-8)
         p.add_argument("--seed", type=int, default=cub.DEFAULT_SEED)
         if name == "cubature":
             p.add_argument("--out", help="rule file to write")
         if name == "qcheck":
             p.add_argument("--sign", type=int, choices=(-1, 1), default=-1)
 
-    p = sub.add_parser("verify", help="re-check a rule file against a moment source")
-    _add_source_args(p)
+    p = _add_command(sub, "verify", _cmd_verify, help="re-check a rule file against a moment source")
     p.add_argument("--rule", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     return parser
-
-
-def run(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.m < 1:
-        raise ValueError("m must be >= 1")
-    if cfg.tol <= 0 or cfg.commutation_tol <= 0:
-        raise ValueError("tolerances must be positive")
-    return _COMMANDS[cfg.subcommand](cfg)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(subcommand=args.subcommand)
-    for name in vars(cfg):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
     try:
-        code, text = run(cfg)
+        code, text = args.run(args)
     except (measures.MomentFormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

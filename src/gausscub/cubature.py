@@ -45,7 +45,7 @@ class FlatnessReport:
 
 @dataclass(frozen=True)
 class ExactnessReport:
-    max_error: float
+    max_error: float  # worst monomial error, relative (see verify_exactness)
     node_residual: float
     min_weight: float
     inside_support: bool | None  # None when no box support is declared
@@ -201,12 +201,21 @@ def verify_exactness(
     basis: OrthoBasis,
     box: tuple[float, float] | None = None,
 ) -> ExactnessReport:
-    """Report the worst monomial error up to degree 2m-1 and node residuals."""
+    """Report the worst monomial error up to degree 2m-1 and node residuals.
+
+    The error of monomial alpha is |sum_k w_k x_k^alpha - scale * y_alpha|
+    divided by max(1, scale, scale * |y_alpha|, sum_k w_k |x_k^alpha|): the
+    size of the terms it comes from, so that the large top moments of a
+    wide-support measure do not read as inexact.
+    """
     if rule.n != y.n:
         raise ValueError(f"rule has dimension {rule.n}, the measure {y.n}")
     table = glex_enumerate(y.n, 2 * rule.m - 1)
-    approx = rule.weights @ eval_monomials(table, rule.nodes)
-    max_err = float(np.abs(approx - y.vector(table) * y.scale).max())
+    vals = eval_monomials(table, rule.nodes)
+    exact = y.vector(table) * y.scale
+    size = np.maximum(np.abs(exact), np.abs(rule.weights) @ np.abs(vals))
+    size = np.maximum(size, max(1.0, y.scale))
+    max_err = float((np.abs(rule.weights @ vals - exact) / size).max())
     node_res = float(np.abs(eval_P(basis, rule.m, rule.nodes)).max())
     inside = None
     if box is not None:

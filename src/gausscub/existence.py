@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .indexing import MultiIndex, dim_total
-from .measures import MomentSequence, moment_matrix
+from .measures import MomentSequence
 from .ortho import OrthoBasis, product_monomials
 
 
@@ -37,7 +37,7 @@ class ExpansionSystem:
     a0: np.ndarray = field(repr=False)  # length t_m, pair_rank layout
     A2m: np.ndarray = field(repr=False)  # t_m x r_2m, columns Glex over |kappa|=2m
     pairs: tuple[tuple[MultiIndex, MultiIndex], ...] = field(repr=False)
-    noise_floor: float = 0.0  # eps * cond_2 of M_m scaled to unit diagonal; 0 sets no floor
+    noise_floor: float = 0.0  # eps * cond_2 of D^-1 M_m D^-1, D = sqrt(diag M_m); 0 sets no floor
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -74,9 +74,10 @@ def assemble_system(y: MomentSequence, basis: OrthoBasis, m: int) -> ExpansionSy
     pairs = tuple((gamma, beta) for i, gamma in enumerate(block_m) for beta in block_m[i:])
     a0 = np.array([1.0 if gamma == beta else 0.0 for gamma, beta in pairs])
     a2m = product_monomials(basis, m)[:, dim_total(y.n, 2 * m - 1) :]
-    mm = moment_matrix(y, m)
-    d = np.sqrt(np.diag(mm))
-    noise_floor = np.finfo(float).eps * np.linalg.cond(mm / np.outer(d, d))
+    # S_m D_m inverts the leading block of D^-1 L, so its squared condition
+    # number is that of M_m scaled to unit diagonal, D^-1 M_m D^-1
+    sm = dim_total(y.n, m)
+    noise_floor = np.finfo(float).eps * np.linalg.cond(basis.coeffs[:sm, :sm] * basis.scale[:sm]) ** 2
     return ExpansionSystem(y.n, m, a0, a2m, pairs, float(noise_floor))
 
 
@@ -86,8 +87,8 @@ def solve_existence(system: ExpansionSystem, tol: float = 1e-8) -> Verdict:
     A NO whose relative residual does not clear the system's noise floor
     raises NoiseFloorError instead of returning a verdict.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if not np.all(np.isfinite(system.A2m)) or not np.all(np.isfinite(system.a0)):
         raise ValueError("non-finite entries in the expansion system")
     v, _, rank, _ = np.linalg.lstsq(system.A2m, -system.a0, rcond=1e-10)

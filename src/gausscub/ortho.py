@@ -25,6 +25,7 @@ class OrthoBasis:
     d: int
     table: GlexTable
     coeffs: np.ndarray = field(repr=False)  # row alpha = P_alpha in monomial basis
+    scale: np.ndarray = field(repr=False)  # D = sqrt(diag M_d), the equilibration
 
     def block(self, m: int) -> slice:
         return self.table.block(m)
@@ -42,7 +43,7 @@ def build_orthobasis(y: MomentSequence, d: int) -> OrthoBasis:
     # moments span many decades; tril keeps the exact zeros the slices rely on
     scale = np.sqrt(np.diag(mm))
     s = np.tril(np.linalg.solve(low / scale[:, None], np.eye(len(scale)))) / scale
-    return OrthoBasis(y.n, d, glex_enumerate(y.n, d), s)
+    return OrthoBasis(y.n, d, glex_enumerate(y.n, d), s, scale)
 
 
 def eval_monomials(table: GlexTable, points) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cubature import CubatureRule
-from .indexing import GlexTable, dim_homog
+from .indexing import dim_homog
 from .measures import MomentSequence, moment_matrix
 from .ortho import OrthoBasis, eval_P, product_monomials
 
@@ -35,7 +35,6 @@ class CertificatePolynomial:
     sign: int
     u: np.ndarray = field(repr=False)
     coeffs: np.ndarray = field(repr=False)  # monomial basis, Glex ranks up to s_2m
-    table: GlexTable = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ def build_Q(basis: OrthoBasis, v: np.ndarray, sign: int = -1) -> CertificatePoly
     top = basis.block(2 * m)
     u = basis.coeffs[top, top] @ v
     coeffs = sign * (u @ basis.coeffs[top])
-    return CertificatePolynomial(basis.n, m, sign, u, coeffs, basis.table)
+    return CertificatePolynomial(basis.n, m, sign, u, coeffs)
 
 
 def _moments_times_Q(y: MomentSequence, q: CertificatePolynomial) -> np.ndarray:

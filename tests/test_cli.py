@@ -19,6 +19,14 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def exit_code(argv) -> int:
+    """The process exit code of `gausscub argv`, whether main returns it or argparse raises it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_exists_1d_yes(capsys):
     code, out, _ = run_cli(capsys, "exists", "--catalog", "lebesgue^1", "--m", "3")
     assert code == EXIT_OK
@@ -222,3 +230,37 @@ def test_numerical_failure_exit_30(capsys, tmp_path):
     code, _, err = run_cli(capsys, "exists", "--moments", path, "--m", "1")
     assert code == EXIT_NUMERICAL
     assert "positive definite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exists", "--catalog", "lebesgue^1", "--m", "2", "--tol", "nan"],
+        ["exists", "--catalog", "lebesgue^2", "--m", "2", "--tol", "inf"],
+        ["exists", "--catalog", "lebesgue^2", "--m", "2", "--tol", "0"],
+        ["exists", "--catalog", "lebesgue^2", "--m", "0"],
+        ["cubature", "--catalog", "lebesgue^1", "--m", "2", "--commutation-tol", "nan"],
+    ],
+)
+def test_out_of_range_level_or_tolerance_exits_20(argv):
+    assert exit_code(argv) == EXIT_INPUT
+
+
+def test_verify_rejects_infinite_tol_on_a_tampered_rule(capsys, tmp_path):
+    rule_path = tmp_path / "rule.txt"
+    run_cli(capsys, "cubature", "--catalog", "lebesgue^1", "--m", "2", "--out", str(rule_path))
+    lines = rule_path.read_text().splitlines()
+    coord, _, rest = lines[4].partition(" ")  # first node record, after the four header lines
+    lines[4] = f"{(float.fromhex(coord) + 0.01).hex()} {rest}"
+    rule_path.write_text("\n".join(lines))
+    assert exit_code(["verify", "--rule", str(rule_path), "--catalog", "lebesgue^1", "--tol", "inf"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_verify_accepts_wide_support_hermite_rules(capsys, tmp_path, m):
+    # top moments near 1e6..1e8: the exactness error is relative to their size
+    rule_path = str(tmp_path / "rule.txt")
+    code, _, _ = run_cli(capsys, "cubature", "--catalog", "hermite^1", "--m", str(m), "--out", rule_path)
+    assert code == EXIT_OK
+    code, out, _ = run_cli(capsys, "verify", "--rule", rule_path, "--catalog", "hermite^1")
+    assert code == EXIT_OK

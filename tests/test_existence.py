@@ -6,7 +6,7 @@ import pytest
 
 from gausscub.existence import assemble_system, solve_existence
 from gausscub.indexing import dim_homog, pair_count
-from gausscub.measures import MomentSequence, normalize_probability
+from gausscub.measures import MomentSequence, moment_matrix, normalize_probability
 from gausscub.ortho import build_orthobasis, eval_P
 
 from conftest import catalog
@@ -193,3 +193,27 @@ def test_full_expansion_2d_agrees_with_system():
             np.atleast_1d(system.a0[row]), abs=1e-12
         )
         assert slices[4] == pytest.approx(paper[row], abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+def test_solve_existence_rejects_non_finite_or_non_positive_tol(leb1, tol):
+    system = assemble_system(leb1, build_orthobasis(leb1, 1), 1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve_existence(system, tol)
+
+
+_DECIDE_GRID = [("lebesgue^2", 4), ("chebyshev1^3", 3), ("lebesgue^3", 3), ("lebesgue^4", 2), ("lebesgue^4", 3)]
+_DECIDE_GRID += [("symmetrized:0.5", m) for m in range(1, 6)]
+# bases built to m (exists, cubature) and to 2m (qcheck); M_10 of the
+# symmetrized measure is not numerically positive definite, so no basis to 10
+_NOISE_CASES = [(s, m, d) for s, m in _DECIDE_GRID for d in (m, 2 * m) if (s, d) != ("symmetrized:0.5", 10)]
+
+
+@pytest.mark.parametrize("spec_text, m, d", _NOISE_CASES)
+def test_noise_floor_is_eps_cond_of_equilibrated_moment_matrix(spec_text, m, d):
+    y = catalog(spec_text, 2 * d)
+    system = assemble_system(y, build_orthobasis(y, d), m)
+    mm = moment_matrix(y, m)
+    d = np.sqrt(np.diag(mm))
+    expected = np.finfo(float).eps * np.linalg.cond(mm / np.outer(d, d))
+    assert system.noise_floor == pytest.approx(expected, rel=1e-9)
