@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Scan the measure catalog for Gaussian cubature existence.
 
-For each (measure, m) pair this prints the system dimensions, the relative
-least-squares residual, the commutation defect of the multiplication
-operators, and whether the two criteria agree.  Each level m reads moments
-to degree 2m only.  A numerical breakdown (the moment matrix losing positive
-definiteness, a NO residual within the noise floor, or a degenerate joint
-spectrum) is printed as a `numerical failure` row and the scan goes on.
+For each (measure, m) pair this prints the relative Hankel defect of the
+existence test, the commutation defect of the multiplication operators, and
+whether the two criteria agree, then builds the rule of each YES.  Each level
+m reads moments to degree 2m only.  A numerical breakdown (a moment matrix
+that is not positive definite, a NO defect within the noise floor, or a rule
+that cannot be extracted after a YES) is printed as a `numerical failure` row
+for that pair, and the scan goes on.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from gausscub.cubature import (
     commutation_defect,
     multiplication_operators,
 )
-from gausscub.existence import NoiseFloorError, assemble_system, solve_existence
+from gausscub.existence import NoiseFloorError, decide
 from gausscub.measures import NotPositiveDefiniteError, catalog_moments, parse_measure_spec
 from gausscub.ortho import build_orthobasis
 
@@ -37,43 +38,33 @@ DEFAULT_MEASURES = [
 
 
 def scan(measures, m_max, tol):
-    header = f"{'measure':>16} {'m':>2} {'system':>8} {'rel.residual':>12} {'defect':>10}  verdict"
+    header = f"{'measure':>16} {'m':>2} {'rel.residual':>12} {'defect':>10}  verdict"
     print(header)
     print("-" * len(header))
     for text in measures:
         spec = parse_measure_spec(text)
         for m in range(1, m_max + 1):
             y = catalog_moments(spec, 2 * m)
+            row = f"{text:>16} {m:>2}"
             try:
+                verdict = decide(y, m, tol)
                 basis = build_orthobasis(y, m)
-                system = assemble_system(y, basis, m)
-                verdict = solve_existence(system, tol)
-            except (NotPositiveDefiniteError, NoiseFloorError) as e:
-                print(f"{text:>16} {m:>2} {'':>8} {'':>12} {'':>10}  numerical failure ({e})")
-                continue
-            ops = multiplication_operators(y, basis, m)
-            defect = commutation_defect(ops)
-            scale = max(1.0, max(np.abs(mat).max() for mat in ops.matrices))
-            agree = verdict.exists == (defect <= tol * scale)
-            tag = "YES" if verdict.exists else "no"
-            if not agree:
-                tag += "  (ORACLES DISAGREE)"
-            shape = f"{system.shape[0]}x{system.shape[1]}"
-            print(
-                f"{text:>16} {m:>2} {shape:>8} {verdict.relative_residual:>12.3e}"
-                f" {defect:>10.2e}  {tag}"
-            )
-            if verdict.exists:
-                try:
+                ops = multiplication_operators(y, basis, m)
+                defect = commutation_defect(ops)
+                scale = max(1.0, max(np.abs(mat).max() for mat in ops.matrices))
+                tag = "YES" if verdict.exists else "no"
+                if verdict.exists != (defect <= tol * scale):
+                    tag += "  (ORACLES DISAGREE)"
+                print(f"{row} {verdict.relative_residual:>12.3e} {defect:>10.2e}  {tag}")
+                if verdict.exists:
                     rule = build_rule(y, basis, m)
-                except DegenerateSpectrumError as e:
-                    print(f"{'':>16}    -> numerical failure ({e})")
-                    continue
-                print(
-                    f"{'':>16}    -> {rule.nodes.shape[0]} nodes,"
-                    f" exactness error {rule.report.max_error:.2e},"
-                    f" min weight {rule.report.min_weight:.3e}"
-                )
+                    print(
+                        f"{'':>16}    -> {rule.nodes.shape[0]} nodes,"
+                        f" exactness error {rule.report.max_error:.2e},"
+                        f" min weight {rule.report.min_weight:.3e}"
+                    )
+            except (NotPositiveDefiniteError, NoiseFloorError, DegenerateSpectrumError) as e:
+                print(f"{row} {'':>12} {'':>10}  numerical failure ({e})")
 
 
 def main():

@@ -13,8 +13,8 @@ from .cubature import (
     store_rule,
     verify_exactness,
 )
-from .existence import ExpansionSystem, NoiseFloorError, Verdict, assemble_system, solve_existence
-from .indexing import dim_homog, dim_total, glex_enumerate, pair_rank
+from .existence import NoiseFloorError, Verdict, decide
+from .indexing import dim_homog, dim_total, glex_enumerate
 from .measures import (
     MeasureSpec,
     MomentFormatError,

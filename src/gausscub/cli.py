@@ -2,8 +2,9 @@
 
 Subcommands: moments, ortho, exists, cubature, qcheck, verify.
 Exit codes: 0 success / rule exists, 10 no Gaussian cubature (or failed
-verification), 20 input or format error, 30 numerical failure (including a
-NO residual within the noise floor).
+verification), 20 input or format error, 30 numerical failure (a moment
+matrix that is not positive definite, a NO residual within the noise floor,
+or a rule that cannot be extracted after a YES).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import cubature as cub
 from . import existence, measures, ortho, qcheck
-from .indexing import dim_total, format_multiindex, parse_multiindex
+from .indexing import dim_homog, dim_total, format_multiindex, parse_multiindex
 
 EXIT_OK = 0
 EXIT_NO_CUBATURE = 10
@@ -86,38 +87,37 @@ def _load_sequence(cfg: argparse.Namespace, d_max: int):
     return measures.normalize_probability(seq), None
 
 
-def _existence(cfg: argparse.Namespace, d: int):
-    """Decide existence at level cfg.m from moments to degree 2d and the basis to d >= m."""
+def _decided(cfg: argparse.Namespace, d: int):
+    """Moments to degree 2d >= 2m, their support box, and the verdict at level cfg.m."""
     seq, box = _load_sequence(cfg, 2 * d)
-    basis = ortho.build_orthobasis(seq, d)
-    system = existence.assemble_system(seq, basis, cfg.m)
-    verdict = existence.solve_existence(system, cfg.tol)
-    return seq, box, basis, system, verdict
+    return seq, box, existence.decide(seq, cfg.m, cfg.tol)
 
 
 def _cmd_exists(cfg: argparse.Namespace) -> tuple[int, str]:
-    seq, _, _, system, verdict = _existence(cfg, cfg.m)
+    seq, _, verdict = _decided(cfg, cfg.m)
+    rm = dim_homog(seq.n, cfg.m)
     rep = Report(cfg.fmt)
     rep.add("verdict", "exists" if verdict.exists else "no-gaussian-cubature")
-    rep.add("t_m", system.shape[0])
-    rep.add("r_2m", system.shape[1])
+    rep.add("t_m", rm * (rm + 1) // 2)
+    rep.add("r_2m", dim_homog(seq.n, 2 * cfg.m))
     rep.add("s_m_minus_1", dim_total(seq.n, cfg.m - 1))
     rep.add("rank", verdict.rank)
     rep.add("residual", verdict.residual)
     rep.add("relative_residual", verdict.relative_residual)
     rep.add("tol", verdict.tol)
-    rep.add("noise_floor", system.noise_floor)
+    rep.add("noise_floor", verdict.noise_floor)
     rep.add("u", _vec(verdict.u))
     return (EXIT_OK if verdict.exists else EXIT_NO_CUBATURE), rep.render()
 
 
 def _cmd_cubature(cfg: argparse.Namespace) -> tuple[int, str]:
-    seq, box, basis, system, verdict = _existence(cfg, cfg.m)
+    seq, box, verdict = _decided(cfg, cfg.m)
     rep = Report(cfg.fmt)
     rep.add("verdict", "exists" if verdict.exists else "no-gaussian-cubature")
     rep.add("relative_residual", verdict.relative_residual)
     if not verdict.exists:
         return EXIT_NO_CUBATURE, rep.render()
+    basis = ortho.build_orthobasis(seq, cfg.m)
     rule = cub.build_rule(
         seq, basis, cfg.m, commutation_tol=cfg.commutation_tol, seed=cfg.seed, box=box
     )
@@ -197,11 +197,12 @@ def _cmd_ortho(cfg: argparse.Namespace) -> tuple[int, str]:
 
 def _cmd_qcheck(cfg: argparse.Namespace) -> tuple[int, str]:
     # Q needs P_kappa with |kappa| = 2m: the basis to 2m, moments to 4m
-    seq, box, basis, _, verdict = _existence(cfg, 2 * cfg.m)
+    seq, box, verdict = _decided(cfg, 2 * cfg.m)
     rep = Report(cfg.fmt)
     rep.add("verdict", "exists" if verdict.exists else "no-gaussian-cubature")
     if not verdict.exists:
         return EXIT_NO_CUBATURE, rep.render()
+    basis = ortho.build_orthobasis(seq, 2 * cfg.m)
     q = qcheck.build_Q(basis, verdict.u, sign=cfg.sign)
     dev = qcheck.verify_corollary(seq, basis, q, cfg.m)
     rule = cub.build_rule(

@@ -23,7 +23,8 @@ DEFAULT_SEED = 7
 
 
 class DegenerateSpectrumError(Exception):
-    """Joint diagonalization kept hitting eigenvalue collisions."""
+    """No rule could be extracted: the operators do not commute, the joint
+    spectrum kept colliding, or the weights are singular or not positive."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,9 +147,7 @@ def extract_nodes(
     """
     defect = commutation_defect(ops)
     if defect > tol * _operator_scale(ops):
-        raise ValueError(
-            f"operators do not commute (defect {defect:.3e}); no Gaussian cubature"
-        )
+        raise DegenerateSpectrumError(f"operators do not commute (defect {defect:.3e})")
     rng = default_rng(seed)
     size = ops.matrices[0].shape[0]
     for _ in range(max_attempts):
@@ -187,11 +186,9 @@ def compute_weights(
     try:
         gamma = np.linalg.solve(vand, rhs)
     except np.linalg.LinAlgError:
-        raise ValueError("singular interpolation matrix: nodes are not distinct")
+        raise DegenerateSpectrumError("singular interpolation matrix: nodes are not distinct")
     if gamma.min() <= positivity_tol:
-        raise ValueError(
-            f"non-positive weight {gamma.min():.3e}: not a Gaussian rule"
-        )
+        raise DegenerateSpectrumError(f"non-positive weight {gamma.min():.3e}")
     return gamma * y.scale
 
 

@@ -42,26 +42,9 @@ def dim_homog(n: int, d: int) -> int:
     return c
 
 
-def pair_count(n: int, m: int) -> int:
-    """Number of unordered pairs of degree-m monomials, r_m (r_m + 1) / 2."""
-    r = dim_homog(n, m)
-    t = r * (r + 1) // 2
-    if t > _COUNT_MAX:
-        raise OverflowError(f"pair count for n={n}, m={m} exceeds 64-bit range")
-    return t
-
-
 def glex_key(alpha: MultiIndex):
     """Sort key realizing the Glex order (degree first, x1 heaviest)."""
     return (sum(alpha), tuple(-a for a in alpha))
-
-
-def glex_compare(alpha: MultiIndex, beta: MultiIndex) -> int:
-    """Total order on equal-dimension indices: -1, 0 or 1."""
-    if len(alpha) != len(beta):
-        raise ValueError("cannot compare multi-indices of different dimension")
-    ka, kb = glex_key(alpha), glex_key(beta)
-    return (ka > kb) - (ka < kb)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,19 +85,6 @@ def glex_enumerate(n: int, d_max: int) -> GlexTable:
     return GlexTable(n, d_max, tuple(idx), {a: i for i, a in enumerate(idx)})
 
 
-def homog_rank(alpha: MultiIndex) -> int:
-    """Position of alpha among the degree-|alpha| indices in Glex order."""
-    n = len(alpha)
-    d = sum(alpha)
-    r = 0
-    for i, a in enumerate(alpha[:-1]):
-        rem = n - i - 1
-        for k in range(a + 1, d + 1):
-            r += dim_homog(rem, d - k)
-        d -= a
-    return r
-
-
 def glex_rank(*exps) -> np.ndarray:
     """Glex ranks of index sums: the rows of sum(exps), broadcast together.
 
@@ -140,26 +110,6 @@ def glex_rank(*exps) -> np.ndarray:
             c = c * (tail + j - i) // (i + 1)
         rank += c
     return rank
-
-
-def pair_rank(gamma: MultiIndex, beta: MultiIndex, m: int) -> int:
-    """Row index of the unordered pair {gamma, beta} among the t_m pairs.
-
-    Layout is upper-triangle, Glex-major: with i <= j the homogeneous ranks
-    of the two indices, the pair sits at i*r_m - i*(i-1)/2 + (j-i).
-    Symmetric in (gamma, beta) by construction.
-    """
-    if sum(gamma) != m or sum(beta) != m:
-        raise ValueError(f"pair_rank needs |gamma| = |beta| = {m}")
-    if len(gamma) != len(beta):
-        raise ValueError("dimension mismatch in pair_rank")
-    r = dim_homog(len(gamma), m)
-    i, j = sorted((homog_rank(gamma), homog_rank(beta)))
-    return i * r - i * (i - 1) // 2 + (j - i)
-
-
-def add(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    return tuple(a + b for a, b in zip(alpha, beta, strict=True))
 
 
 def format_multiindex(alpha: MultiIndex) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indexing import GlexTable, MultiIndex, dim_total, glex_enumerate, glex_rank
+from .indexing import GlexTable, MultiIndex, dim_total, glex_enumerate
 from .measures import MomentSequence, moment_matrix, psd_cholesky
 
 
@@ -25,7 +25,6 @@ class OrthoBasis:
     d: int
     table: GlexTable
     coeffs: np.ndarray = field(repr=False)  # row alpha = P_alpha in monomial basis
-    scale: np.ndarray = field(repr=False)  # D = sqrt(diag M_d), the equilibration
 
     def block(self, m: int) -> slice:
         return self.table.block(m)
@@ -43,7 +42,7 @@ def build_orthobasis(y: MomentSequence, d: int) -> OrthoBasis:
     # moments span many decades; tril keeps the exact zeros the slices rely on
     scale = np.sqrt(np.diag(mm))
     s = np.tril(np.linalg.solve(low / scale[:, None], np.eye(len(scale)))) / scale
-    return OrthoBasis(y.n, d, glex_enumerate(y.n, d), s, scale)
+    return OrthoBasis(y.n, d, glex_enumerate(y.n, d), s)
 
 
 def eval_monomials(table: GlexTable, points) -> np.ndarray:
@@ -57,26 +56,6 @@ def eval_P(basis: OrthoBasis, m: int, points) -> np.ndarray:
     if m > basis.d:
         raise ValueError(f"basis built to degree {basis.d}, requested block {m}")
     return eval_monomials(basis.table, points) @ basis.coeffs[basis.block(m)].T
-
-
-def product_monomials(basis: OrthoBasis, m: int) -> np.ndarray:
-    """Monomial coefficients of every product P_gamma P_beta, |gamma| = |beta| = m.
-
-    Row pair_rank(gamma, beta, m), column rank(alpha) for |alpha| <= 2m holds
-    the coefficient of x^alpha.  Needs the basis only to degree m.
-    """
-    if basis.d < m:
-        raise ValueError(f"basis built to degree {basis.d}, need {m}")
-    sm, s2m = dim_total(basis.n, m), dim_total(basis.n, 2 * m)
-    block = basis.coeffs[basis.block(m), :sm]
-    left, right = (block[i] for i in np.triu_indices(block.shape[0]))  # pair_rank order
-    exps = np.array(basis.table.indices[:sm])
-    sums = glex_rank(exps[:, None], exps[None, :])
-    prod = np.zeros((left.shape[0], s2m))
-    for a in range(sm):
-        # e_a + e_b is distinct over b, so the scatter has no collisions
-        prod[:, sums[a]] += left[:, a, None] * right
-    return prod
 
 
 def gram_in_ortho_basis(z: MomentSequence, basis: OrthoBasis, d: int) -> np.ndarray:

@@ -2,18 +2,18 @@
 
 A positive verdict is equivalent to existence of a degree-2m combination Q
 of the orthonormal polynomials with integral(P_gamma P_beta Q) = delta for
-all degree-m pairs.  With v solving a0 + A2m v = 0 and u = S_top v, that
+all degree-m pairs.  With v the verdict's moment shift and u = S_top v, that
 identity holds for Q = -u^T P_2m; the `sign` flag also exposes the +u
 convention, under which the pairing instead returns -I.
 
 Every check pairs Q with the raw moments: one product of the moment matrix
 with Q's monomial coefficients gives L_y(x^alpha Q) for all |alpha| <= 2m,
-and each identity is a contraction of that vector with monomial
+and each identity is a gather or a contraction of that vector with monomial
 coefficients, evaluated in np.longdouble so that the reported deviation is
 the certificate's and not rounding noise.  The checks never go through the
-Cholesky factor: there L_y(P_gamma P_beta Q) - delta is a0 + A2m v, the
-existence residual itself, and the top-degree pairing is sign * u exactly,
-so both checks would hold by construction.
+Cholesky factor: there L_y(P_gamma P_beta Q) - delta is the existence
+defect itself, and the top-degree pairing is sign * u exactly, so both
+checks would hold by construction.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cubature import CubatureRule
-from .indexing import dim_homog
+from .indexing import dim_homog, dim_total, glex_rank
 from .measures import MomentSequence, moment_matrix
-from .ortho import OrthoBasis, eval_P, product_monomials
+from .ortho import OrthoBasis, eval_P
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +75,17 @@ def _moments_times_Q(y: MomentSequence, q: CertificatePolynomial) -> np.ndarray:
 def verify_corollary(
     y: MomentSequence, basis: OrthoBasis, q: CertificatePolynomial, m: int
 ) -> float:
-    """Max deviation of L_y(P_gamma P_beta Q) from the identity matrix."""
-    g = product_monomials(basis, m) @ _moments_times_Q(y, q)
-    rm = dim_homog(y.n, m)
-    return float(np.abs(g - np.eye(rm)[np.triu_indices(rm)]).max())  # pair_rank order
+    """Max deviation of L_y(P_gamma P_beta Q), |gamma| = |beta| = m, from the identity matrix.
+
+    The pairing is S_m H S_m^T with H[a, b] = L_y(x^(a+b) Q), a gather of
+    the moments-times-Q vector.
+    """
+    sm = dim_total(y.n, m)
+    exps = np.array(basis.table.indices[:sm])
+    h = _moments_times_Q(y, q)[glex_rank(exps[:, None], exps[None, :])]
+    s = basis.coeffs[basis.block(m), :sm]
+    g = s @ h @ s.T
+    return float(np.abs(g - np.eye(len(s))).max())
 
 
 def verify_remark(

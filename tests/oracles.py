@@ -1,22 +1,29 @@
-"""Independent cross-check oracles for the orthonormal basis and the kernel.
+"""Independent cross-check oracles for the orthonormal basis and the existence test.
 
 `triple_product` evaluates L_y(P_gamma P_beta P_kappa) entry by entry from
 raw moments through the dict of one product's monomial coefficients that
 `product_coeffs` builds, and `ortho_det_oracle` builds P_sigma from bordered
 determinants; neither shares arithmetic with the kernels they check.
-`product_expansion` is the paper's full system: every orthonormal
-coefficient of every product, through the Cholesky factor of M_2m and so
-from moments to degree 4m.  Its top slice is the assembled A2m times
-`top_factor`, and `full_expansion` reads every slice of one product from it.
+
+The paper decides existence by the solvability of an overdetermined system
+over the pairs of degree-m orthonormal polynomials; its rows are in
+`np.triu_indices` order of the Glex-ordered degree-m block.
+`product_expansion` is that full system: every orthonormal coefficient of
+every product, through the Cholesky factor of M_2m and so from moments to
+degree 4m, and `full_expansion` reads every slice of one product from it.
+`leading_form_system` is its top slice without the invertible factor
+`top_factor`, which needs moments to degree 2m only, and `lstsq_verdict`
+decides it by the least-squares residual.  On a YES its solution is the
+moment shift v of `gausscub.existence.decide`.
 """
 
 from collections import defaultdict
 
 import numpy as np
 
-from gausscub.indexing import MultiIndex, add, glex_enumerate, pair_rank
+from gausscub.indexing import MultiIndex, dim_homog, dim_total, glex_enumerate, glex_rank
 from gausscub.measures import MomentSequence, moment_matrix, psd_cholesky
-from gausscub.ortho import OrthoBasis, product_monomials
+from gausscub.ortho import OrthoBasis, build_orthobasis
 
 
 def ortho_det_oracle(y: MomentSequence, sigma: MultiIndex) -> np.ndarray:
@@ -60,7 +67,7 @@ def product_coeffs(basis: OrthoBasis, gamma: MultiIndex, beta: MultiIndex) -> di
             cb = s[rb, b]
             if cb == 0.0:
                 continue
-            prod[add(ea, t.indices[b])] += ca * cb
+            prod[tuple(np.add(ea, t.indices[b]).tolist())] += ca * cb
     return prod
 
 
@@ -85,14 +92,32 @@ def triple_product(
         if cc == 0.0:
             continue
         ec = t.indices[c]
-        val += cc * sum(pc * y.value(add(e, ec)) for e, pc in prod.items())
+        val += cc * sum(pc * y.value(tuple(np.add(e, ec).tolist())) for e, pc in prod.items())
     return val
+
+
+def product_monomials(basis: OrthoBasis, m: int) -> np.ndarray:
+    """Monomial coefficients of every product P_gamma P_beta, |gamma| = |beta| = m.
+
+    One row per pair, column rank(alpha) for |alpha| <= 2m holds the
+    coefficient of x^alpha.  Needs the basis only to degree m.
+    """
+    sm, s2m = dim_total(basis.n, m), dim_total(basis.n, 2 * m)
+    block = basis.coeffs[basis.block(m), :sm]
+    left, right = (block[i] for i in np.triu_indices(block.shape[0]))
+    exps = np.array(basis.table.indices[:sm])
+    sums = glex_rank(exps[:, None], exps[None, :])
+    prod = np.zeros((left.shape[0], s2m))
+    for a in range(sm):
+        # e_a + e_b is distinct over b, so the scatter has no collisions
+        prod[:, sums[a]] += left[:, a, None] * right
+    return prod
 
 
 def product_expansion(y: MomentSequence, basis: OrthoBasis, m: int) -> np.ndarray:
     """Orthonormal coefficients of every product P_gamma P_beta, |gamma| = |beta| = m.
 
-    Row pair_rank(gamma, beta, m), column rank(theta) for |theta| <= 2m holds
+    One row per pair, column rank(theta) for |theta| <= 2m holds
     L_y(P_gamma P_beta P_theta): the products' monomial coefficients times the
     Cholesky factor L of M_2m (M S^T = L).  Needs moments to degree 4m.
     """
@@ -102,8 +127,8 @@ def product_expansion(y: MomentSequence, basis: OrthoBasis, m: int) -> np.ndarra
 def top_factor(y: MomentSequence, m: int) -> np.ndarray:
     """L_top, the degree-2m diagonal block of the Cholesky factor of M_2m.
 
-    The paper's A2m is the assembled A2m times L_top, and its unknown u is
-    S_top v = L_top^-1 v for the assembled system's v.
+    The paper's A2m is the leading-form A2m times L_top, and its unknown u
+    is S_top v = L_top^-1 v for the leading-form system's v.
     """
     top = glex_enumerate(y.n, 2 * m).block(2 * m)
     return psd_cholesky(moment_matrix(y, 2 * m))[top, top]
@@ -114,12 +139,36 @@ def full_expansion(
 ) -> list[np.ndarray]:
     """All orthonormal-basis coefficients of P_gamma P_beta, one array per degree.
 
-    The j=0 slice must be the Kronecker delta and the j=2m slice must match
-    the assembled system row times `top_factor`.
+    The j=0 slice must be the Kronecker delta and the j=2m slice is the
+    paper's A2m row of the pair.
     """
     m = sum(gamma)
     if sum(beta) != m:
         raise ValueError("full_expansion needs |gamma| = |beta|")
-    row = product_expansion(y, basis, m)[pair_rank(gamma, beta, m)]
     table = glex_enumerate(y.n, 2 * m)
+    pair = tuple(sorted(table.rank(a) - table.offset(m) for a in (gamma, beta)))
+    rows = list(zip(*np.triu_indices(dim_homog(y.n, m))))
+    row = product_expansion(y, basis, m)[rows.index(pair)]
     return [row[table.block(j)] for j in range(2 * m + 1)]
+
+
+def leading_form_system(y: MomentSequence, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a0, A2m) of the system a0 + A2m v = 0 that decides existence.
+
+    a0 is the vectorized Kronecker delta and row (gamma, beta) of A2m holds
+    the degree-2m monomial coefficients of P_gamma P_beta, so a0 + A2m v is
+    L_z(P_gamma P_beta) for the sequence z that agrees with y below degree
+    2m and has y_2m + v on top.  Needs moments to degree 2m.
+    """
+    rm = dim_homog(y.n, m)
+    a0 = np.eye(rm)[np.triu_indices(rm)]
+    a2m = product_monomials(build_orthobasis(y, m), m)[:, dim_total(y.n, 2 * m - 1) :]
+    return a0, a2m
+
+
+def lstsq_verdict(y: MomentSequence, m: int, tol: float = 1e-8) -> tuple[bool, np.ndarray, float]:
+    """(exists, v, relative residual): minimum-norm least squares of a0 + A2m v = 0."""
+    a0, a2m = leading_form_system(y, m)
+    v = np.linalg.lstsq(a2m, -a0, rcond=1e-10)[0]
+    relative = float(np.linalg.norm(a0 + a2m @ v) / np.linalg.norm(a0))
+    return relative <= tol, v, relative

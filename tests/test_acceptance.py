@@ -17,22 +17,15 @@ from gausscub.cubature import (
     flatness_check,
     multiplication_operators,
 )
-from gausscub.existence import assemble_system, solve_existence
-from gausscub.indexing import (
-    dim_homog,
-    dim_total,
-    glex_compare,
-    glex_enumerate,
-    pair_count,
-    pair_rank,
-)
+from gausscub.existence import decide
+from gausscub.indexing import dim_homog, dim_total, glex_enumerate, glex_key, glex_rank
 from gausscub.measures import load_moments, moment_matrix, store_moments
 from gausscub.ortho import build_orthobasis, eval_P
 from gausscub.qcheck import build_Q, verify_corollary, verify_remark
 
 from conftest import catalog
 from golub_welsch import gauss_rule
-from oracles import ortho_det_oracle, top_factor
+from oracles import leading_form_system, lstsq_verdict, ortho_det_oracle, top_factor
 
 ONE_D_TAGS = ("lebesgue", "chebyshev1", "chebyshev2", "hermite")
 
@@ -56,7 +49,7 @@ def _criterion(name):
 def _solve(spec_text, m):
     y = catalog(spec_text, 4 * m)
     basis = build_orthobasis(y, 2 * m)
-    verdict = solve_existence(assemble_system(y, basis, m))
+    verdict = decide(y, m)
     return y, basis, verdict
 
 
@@ -84,10 +77,11 @@ def test_criterion_1_one_dimensional_equivalence():
 @_criterion("2 (1x1 desk-checkable system)")
 def test_criterion_2_desk_scale_forward_direction():
     y, basis, verdict = _solve("lebesgue", 1)
-    system = assemble_system(y, basis, 1)
-    assert system.shape == (1, 1)
-    # the paper's entry L_y(P_1 P_1 P_2) and unknown u = S_top v
-    assert abs((system.A2m @ top_factor(y, 1))[0, 0] - 0.4 * math.sqrt(5.0)) <= 1e-12
+    a0, a2m = leading_form_system(y, 1)
+    assert a2m.shape == (1, 1)
+    # the paper's entry L_y(P_1 P_1 P_2) and unknown u = S_top v, v solving its system
+    assert abs((a2m @ top_factor(y, 1))[0, 0] - 0.4 * math.sqrt(5.0)) <= 1e-12
+    assert abs(a0[0] + a2m[0, 0] * verdict.u[0]) <= 1e-12
     u = basis.coeffs[2, 2] * verdict.u
     assert abs(u[0] + math.sqrt(5.0) / 2) <= 1e-12
     nodes, weights = gauss_rule("lebesgue", 1)
@@ -156,28 +150,29 @@ def test_criterion_6_structural_invariants(tmp_path):
         row = basis.row(sigma)[: basis.table.rank(sigma) + 1]
         oracle = ortho_det_oracle(y, sigma)
         assert np.abs(row - oracle).max() <= 1e-9 * max(1.0, np.abs(oracle).max())
-    # Glex and pair_rank bijections
+    # Glex bijections: the table is strictly Glex-sorted, and the table rank
+    # and the closed-form rank agree
     for n in (1, 2, 3):
         table = glex_enumerate(n, 5)
-        for i in range(len(table) - 1):
-            assert glex_compare(table.indices[i], table.indices[i + 1]) == -1
+        keys = [glex_key(a) for a in table.indices]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
         for i, alpha in enumerate(table.indices):
             assert table.rank(alpha) == i
-        for m in range(1, 5):
-            block = glex_enumerate(n, m).indices[glex_enumerate(n, m).block(m)]
-            ranks = {pair_rank(g, b, m) for i, g in enumerate(block) for b in block[i:]}
-            assert ranks == set(range(pair_count(n, m)))
-    # a0 is the vectorized Kronecker delta
-    y, basis, _ = _solve("symmetrized:0.5", 2)
-    system = assemble_system(y, basis, 2)
+        assert glex_rank(np.array(table.indices)).tolist() == list(range(len(table)))
+    # the paper's system: a0 is the vectorized Kronecker delta, and its
+    # verdict and solution are the Hankel test's
+    y, _, verdict = _solve("symmetrized:0.5", 2)
+    a0, _ = leading_form_system(y, 2)
     rm = dim_homog(2, 2)
-    assert sorted(system.a0) == [0.0] * (pair_count(2, 2) - rm) + [1.0] * rm
+    assert sorted(a0) == [0.0] * (rm * (rm + 1) // 2 - rm) + [1.0] * rm
+    exists, v, _ = lstsq_verdict(y, 2)
+    assert exists and np.abs(v - verdict.u).max() <= 1e-10 * np.abs(v).max()
     # overdetermination for every n >= 2 test case (square at m=1, strictly
     # overdetermined from m=2 on)
     for n in (2, 3, 4):
-        assert pair_count(n, 1) == dim_homog(n, 2)
+        assert dim_homog(n, 1) * (dim_homog(n, 1) + 1) // 2 == dim_homog(n, 2)
         for m in (2, 3):
-            assert pair_count(n, m) > dim_homog(n, 2 * m)
+            assert dim_homog(n, m) * (dim_homog(n, m) + 1) // 2 > dim_homog(n, 2 * m)
     # moment-file round trip is bit-exact
     y = catalog("chebyshev1^2", 6)
     path = tmp_path / "m.txt"

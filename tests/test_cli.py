@@ -12,6 +12,8 @@ from gausscub.measures import (
     store_moments,
 )
 
+from conftest import fuzz_moments
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -49,16 +51,32 @@ def test_exists_machine_report_keys(capsys):
 
 
 def test_exists_symmetrized_reach_ends_in_exit_30_not_a_wrong_no(capsys):
-    # moments to 2m decide YES through m = 7; from m = 8 on the residual is
-    # within the noise floor (m = 8, 9) or M_m is not positive definite
-    # (m = 10), and neither may read as "no Gaussian cubature"
+    # the Hankel test needs M_{m-1} positive definite and decides YES through
+    # m = 10 (defects 7e-11, 3e-10, 1e-9 at m = 8, 9, 10); a breakdown
+    # would be exit 30, and nothing may read as "no Gaussian cubature"
     for m in range(5, 11):
         code, _, err = run_cli(capsys, "exists", "--catalog", "symmetrized:0.5", "--m", str(m))
         assert code != EXIT_NO_CUBATURE, m
-        if m <= 7:
-            assert code == EXIT_OK, (m, err)
-        elif m <= 9:
-            assert code == EXIT_NUMERICAL and "noise floor" in err, (m, err)
+        assert code == EXIT_OK, (m, err)
+
+
+@pytest.mark.parametrize("m, extra", [(7, ["--commutation-tol", "1e-12"]), (8, []), (9, [])])
+def test_rule_breakdown_after_a_yes_exits_30(capsys, m, extra):
+    # the existence test says YES, but the operators commute only to 1e-9
+    # (m = 7) or 1.9e-7 and 4.4e-6 (m = 8, 9): no rule, and no NO either
+    code, _, err = run_cli(capsys, "cubature", "--catalog", "symmetrized:0.5", "--m", str(m), *extra)
+    assert code == EXIT_NUMERICAL, (code, err)
+    assert "commute" in err
+
+
+def test_stretched_yes_file_exits_0(capsys, tmp_path):
+    # s_1 atoms plus a positive definite degree-4 shift, x1 stretched by 1e3:
+    # a change of variables keeps the rule, and the equilibrated test sees it
+    for seed in range(3):
+        path = str(tmp_path / f"stretched-{seed}.txt")
+        store_moments(fuzz_moments(2, 2, True, seed, stretch=1e3), path)
+        code, out, err = run_cli(capsys, "exists", "--moments", path, "--m", "2", "--format", "machine")
+        assert code == EXIT_OK, (seed, out, err)
 
 
 @pytest.mark.parametrize(
@@ -222,12 +240,13 @@ def test_bad_usage_exits_20():
 
 
 def test_numerical_failure_exit_30(capsys, tmp_path):
-    # a Dirac measure has a singular moment matrix
+    # a Dirac measure has a singular M_1: at m = 1 its one-node rule exists,
+    # at m = 2 the test needs M_1 positive definite
     values = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
     seq = MomentSequence(1, 4, values, normalized=True)
     path = str(tmp_path / "dirac.txt")
     store_moments(seq, path)
-    code, _, err = run_cli(capsys, "exists", "--moments", path, "--m", "1")
+    code, _, err = run_cli(capsys, "exists", "--moments", path, "--m", "2")
     assert code == EXIT_NUMERICAL
     assert "positive definite" in err
 

@@ -16,7 +16,7 @@ from gausscub.cubature import (
     store_rule,
     verify_exactness,
 )
-from gausscub.existence import assemble_system, solve_existence
+from gausscub.existence import decide
 from gausscub.indexing import dim_total, glex_enumerate
 from gausscub.measures import MomentFormatError
 from gausscub.ortho import build_orthobasis
@@ -30,7 +30,7 @@ SQ3 = math.sqrt(3.0)
 def _solve(spec_text, m):
     y = catalog(spec_text, 4 * m)
     basis = build_orthobasis(y, 2 * m)
-    verdict = solve_existence(assemble_system(y, basis, m))
+    verdict = decide(y, m)
     return y, basis, verdict
 
 
@@ -153,7 +153,7 @@ def test_extract_nodes_1d():
 def test_extract_nodes_refuses_noncommuting(leb2):
     basis = build_orthobasis(leb2, 4)
     ops = multiplication_operators(leb2, basis, 2)
-    with pytest.raises(ValueError, match="commute"):
+    with pytest.raises(DegenerateSpectrumError, match="commute"):
         extract_nodes(ops)
 
 
@@ -204,7 +204,7 @@ def test_weights_sum_to_mass():
 
 def test_weights_reject_duplicate_nodes():
     y, basis, _ = _solve("lebesgue", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateSpectrumError):
         compute_weights(y, basis, np.array([[0.1], [0.1], [0.5]]))
 
 

@@ -5,23 +5,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gausscub.indexing import (
-    add,
     dim_homog,
     dim_total,
     format_multiindex,
-    glex_compare,
     glex_enumerate,
     glex_key,
     glex_rank,
-    homog_rank,
-    pair_count,
-    pair_rank,
     parse_multiindex,
 )
 
 
 def brute_monomials(n, d_max):
     return [a for a in itertools.product(range(d_max + 1), repeat=n) if sum(a) <= d_max]
+
+
+def add(*indices):
+    return tuple(map(sum, zip(*indices)))
 
 
 def test_dim_total_examples():
@@ -56,17 +55,6 @@ def test_glex_enumerate_simple():
     assert glex_enumerate(3, 1).indices == ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def test_glex_compare_examples():
-    assert glex_compare((1, 0), (0, 1)) == -1
-    assert glex_compare((2, 0), (2, 0)) == 0
-    assert glex_compare((0, 2), (1, 1)) == 1
-
-
-def test_glex_compare_dimension_mismatch():
-    with pytest.raises(ValueError):
-        glex_compare((1, 0), (1, 0, 0))
-
-
 @given(
     st.integers(1, 4).flatmap(
         lambda n: st.tuples(
@@ -77,14 +65,15 @@ def test_glex_compare_dimension_mismatch():
     )
 )
 def test_glex_total_order(abc):
-    a, b, c = abc
-    # antisymmetry
-    assert glex_compare(a, b) == -glex_compare(b, a)
-    # totality: equal only for identical indices
-    assert (glex_compare(a, b) == 0) == (a == b)
+    a, b, c = (glex_key(x) for x in abc)
+    # totality: equal keys only for identical indices
+    assert (a == b) == (abc[0] == abc[1])
+    # a degree decides first; within a degree, a higher exponent on an earlier variable
+    if sum(abc[0]) != sum(abc[1]):
+        assert (a < b) == (sum(abc[0]) < sum(abc[1]))
     # transitivity
-    if glex_compare(a, b) <= 0 and glex_compare(b, c) <= 0:
-        assert glex_compare(a, c) <= 0
+    if a <= b and b <= c:
+        assert a <= c
 
 
 @given(st.integers(1, 4), st.integers(0, 6))
@@ -92,8 +81,7 @@ def test_glex_enumerate_sorted_and_complete(n, d_max):
     table = glex_enumerate(n, d_max)
     assert len(table) == dim_total(n, d_max)
     assert sorted(table.indices, key=glex_key) == list(table.indices)
-    for i in range(len(table) - 1):
-        assert glex_compare(table.indices[i], table.indices[i + 1]) == -1
+    assert len(set(table.indices)) == len(table)
     for i, alpha in enumerate(table.indices):
         assert table.rank(alpha) == i
 
@@ -110,14 +98,6 @@ def test_dim_total_is_sum_of_homog():
     for n in range(1, 5):
         for d in range(9):
             assert dim_total(n, d) == sum(dim_homog(n, k) for k in range(d + 1))
-
-
-def test_homog_rank_matches_table():
-    for n in (1, 2, 3):
-        table = glex_enumerate(n, 5)
-        for d in range(6):
-            for i, alpha in enumerate(table.indices[table.block(d)]):
-                assert homog_rank(alpha) == i
 
 
 def test_glex_rank_matches_table():
@@ -140,35 +120,7 @@ def test_glex_rank_high_degree_and_unit_shift():
         low = np.array(glex_enumerate(n, (d - 1) // 2).indices)
         for ei in np.eye(n, dtype=int):
             ranks = glex_rank(low[:, None], low[None, :], ei)
-            assert ranks.tolist() == [[table.rank(add(add(a, b), ei)) for b in low] for a in low]
-
-
-def test_pair_rank_trivial_cases():
-    assert pair_rank((2,), (2,), 2) == 0
-    assert pair_count(1, 2) == 1
-    ranks = {pair_rank(g, b, 1) for g, b in [((1, 0), (1, 0)), ((1, 0), (0, 1)), ((0, 1), (0, 1))]}
-    assert ranks == {0, 1, 2}
-    assert pair_count(2, 1) == 3
-    assert pair_count(2, 2) == 6
-
-
-def test_pair_rank_bijection_and_symmetry():
-    for n in (1, 2, 3):
-        for m in range(1, 6):
-            table = glex_enumerate(n, m)
-            block = table.indices[table.block(m)]
-            seen = set()
-            for i, g in enumerate(block):
-                for b in block[i:]:
-                    r = pair_rank(g, b, m)
-                    assert r == pair_rank(b, g, m)
-                    seen.add(r)
-            assert seen == set(range(pair_count(n, m)))
-
-
-def test_pair_rank_validates_degree():
-    with pytest.raises(ValueError):
-        pair_rank((1, 0), (0, 2), 1)
+            assert ranks.tolist() == [[table.rank(add(a, b, ei)) for b in low] for a in low]
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(st.integers(0, 20), min_size=n, max_size=n)))
@@ -185,6 +137,3 @@ def test_parse_multiindex_errors():
     with pytest.raises(ValueError):
         parse_multiindex("1,2", n=3)
 
-
-def test_add():
-    assert add((1, 2), (0, 3)) == (1, 5)

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from gausscub.cubature import build_rule
-from gausscub.existence import assemble_system, solve_existence
+from gausscub.existence import decide
 from gausscub.measures import moment_matrix
 from gausscub.ortho import build_orthobasis
 from gausscub.qcheck import build_Q, verify_corollary, verify_remark
 
 from conftest import catalog
+from oracles import leading_form_system
 
 SQ5 = math.sqrt(5.0)
 
@@ -18,7 +19,7 @@ SQ5 = math.sqrt(5.0)
 def _yes_instance(spec_text, m):
     y = catalog(spec_text, 4 * m)
     basis = build_orthobasis(y, 2 * m)
-    verdict = solve_existence(assemble_system(y, basis, m))
+    verdict = decide(y, m)
     assert verdict.exists
     return y, basis, verdict
 
@@ -97,15 +98,15 @@ def test_corollary_equivalent_to_residual():
     # statement: both vanish together on a YES instance, and both are large
     # when u is perturbed
     y, basis, verdict = _yes_instance("symmetrized:0.5", 2)
-    system = assemble_system(y, basis, 2)
+    a0, a2m = leading_form_system(y, 2)
     q = build_Q(basis, verdict.u)
     dev = verify_corollary(y, basis, q, 2)
-    res = np.abs(system.a0 + system.A2m @ verdict.u).max()
+    res = np.abs(a0 + a2m @ verdict.u).max()
     assert dev <= 1e-8 and res <= 1e-8
     u_bad = verdict.u + 0.05
     q_bad = build_Q(basis, u_bad)
     dev_bad = verify_corollary(y, basis, q_bad, 2)
-    res_bad = np.abs(system.a0 + system.A2m @ u_bad).max()
+    res_bad = np.abs(a0 + a2m @ u_bad).max()
     assert dev_bad > 1e-3 and res_bad > 1e-3
     assert dev_bad == pytest.approx(res_bad, rel=1e-6)
 
