@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -203,13 +204,12 @@ def _cmd_qcheck(cfg: argparse.Namespace) -> tuple[int, str]:
     if not verdict.exists:
         return EXIT_NO_CUBATURE, rep.render()
     basis = ortho.build_orthobasis(seq, 2 * cfg.m)
-    q = qcheck.build_Q(basis, verdict.u, sign=cfg.sign)
-    dev = qcheck.verify_corollary(seq, basis, q, cfg.m)
+    q = qcheck.build_Q(basis, verdict.u)
+    dev = qcheck.verify_corollary(seq, basis, q)
     rule = cub.build_rule(
         seq, basis, cfg.m, commutation_tol=cfg.commutation_tol, seed=cfg.seed, box=box
     )
-    remark = qcheck.verify_remark(seq, basis, q, cfg.m, rule)
-    rep.add("sign", q.sign)
+    remark = qcheck.verify_remark(seq, basis, q, rule)
     rep.add("corollary_deviation", dev)
     rep.add("remark_u_from_rule", remark.u_from_rule)
     rep.add("remark_low_degree", remark.low_degree)
@@ -244,12 +244,11 @@ def build_parser() -> _Parser:
         p = _add_command(sub, name, handler)
         p.add_argument("--m", type=_level, required=True, help="half-degree (precision 2m-1)")
         p.add_argument("--tol", type=_tolerance, default=1e-8)
-        p.add_argument("--commutation-tol", dest="commutation_tol", type=_tolerance, default=1e-8)
-        p.add_argument("--seed", type=int, default=cub.DEFAULT_SEED)
+        if name != "exists":  # the commands that build a rule
+            p.add_argument("--commutation-tol", dest="commutation_tol", type=_tolerance, default=1e-8)
+            p.add_argument("--seed", type=int, default=cub.DEFAULT_SEED)
         if name == "cubature":
             p.add_argument("--out", help="rule file to write")
-        if name == "qcheck":
-            p.add_argument("--sign", type=int, choices=(-1, 1), default=-1)
 
     p = _add_command(sub, "verify", _cmd_verify, help="re-check a rule file against a moment source")
     p.add_argument("--rule", required=True)
@@ -268,7 +267,14 @@ def main(argv=None) -> int:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     if text:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader stopped early (`| head`): the exit code still reports the
+            # command, and the flush at interpreter exit must not fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

@@ -20,6 +20,9 @@ from .measures import MomentFormatError, MomentSequence
 from .ortho import OrthoBasis, eval_monomials, eval_P, gram_in_ortho_basis
 
 DEFAULT_SEED = 7
+FLAT_TOL = 1e-8  # flatness: block norm and negative eigenvalues, relative to the largest eigenvalue
+MAX_DRAWS = 5  # random operator combinations tried before a collision is final
+WEIGHT_TOL = 1e-10  # smallest accepted probability weight
 
 
 class DegenerateSpectrumError(Exception):
@@ -77,9 +80,7 @@ def complete_moments(y: MomentSequence, v: np.ndarray, m: int) -> MomentSequence
     return MomentSequence(y.n, 2 * m, z, normalized=y.normalized, scale=y.scale)
 
 
-def flatness_check(
-    z: MomentSequence, basis: OrthoBasis, m: int, tol: float = 1e-8
-) -> FlatnessReport:
+def flatness_check(z: MomentSequence, basis: OrthoBasis, m: int) -> FlatnessReport:
     """Check the rank collapse that certifies an atomic representing measure.
 
     The completed moment matrix, in the orthonormal basis, must be (near)
@@ -93,8 +94,8 @@ def flatness_check(
     eigs = np.linalg.eigvalsh(g)
     min_eig = float(eigs.min())
     scale = max(1.0, float(eigs.max()))
-    rank = int(np.sum(eigs > tol * scale))
-    flat = block_norm <= tol * scale and min_eig >= -tol * scale
+    rank = int(np.sum(eigs > FLAT_TOL * scale))
+    flat = block_norm <= FLAT_TOL * scale and min_eig >= -FLAT_TOL * scale
     return FlatnessReport(flat, rank, block_norm, min_eig)
 
 
@@ -133,12 +134,7 @@ def _operator_scale(ops: MultiplicationOperators) -> float:
     return max(1.0, max(float(np.abs(mat).max()) for mat in ops.matrices))
 
 
-def extract_nodes(
-    ops: MultiplicationOperators,
-    tol: float = 1e-8,
-    seed: int = DEFAULT_SEED,
-    max_attempts: int = 5,
-) -> np.ndarray:
+def extract_nodes(ops: MultiplicationOperators, tol: float = 1e-8, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Joint eigenvalues of the commuting operators, one node per eigenvector.
 
     Diagonalizes a random convex combination of the operators; a clustered
@@ -150,7 +146,7 @@ def extract_nodes(
         raise DegenerateSpectrumError(f"operators do not commute (defect {defect:.3e})")
     rng = default_rng(seed)
     size = ops.matrices[0].shape[0]
-    for _ in range(max_attempts):
+    for _ in range(MAX_DRAWS):
         c = rng.random(ops.n)
         c /= c.sum()
         a = sum(ci * ni for ci, ni in zip(c, ops.matrices))
@@ -163,16 +159,11 @@ def extract_nodes(
         order = np.lexsort(tuple(nodes[:, i] for i in range(ops.n - 1, -1, -1)))
         return nodes[order]
     raise DegenerateSpectrumError(
-        f"eigenvalue collision persisted across {max_attempts} random combinations"
+        f"eigenvalue collision persisted across {MAX_DRAWS} random combinations"
     )
 
 
-def compute_weights(
-    y: MomentSequence,
-    basis: OrthoBasis,
-    nodes: np.ndarray,
-    positivity_tol: float = 1e-10,
-) -> np.ndarray:
+def compute_weights(y: MomentSequence, basis: OrthoBasis, nodes: np.ndarray) -> np.ndarray:
     """Solve the square interpolation system for the weights, rescale by mass.
 
     In the orthonormal basis the right-hand side is the first unit vector
@@ -187,7 +178,7 @@ def compute_weights(
         gamma = np.linalg.solve(vand, rhs)
     except np.linalg.LinAlgError:
         raise DegenerateSpectrumError("singular interpolation matrix: nodes are not distinct")
-    if gamma.min() <= positivity_tol:
+    if gamma.min() <= WEIGHT_TOL:
         raise DegenerateSpectrumError(f"non-positive weight {gamma.min():.3e}")
     return gamma * y.scale
 

@@ -8,7 +8,6 @@ so that a higher exponent on an earlier variable comes first (x1 heaviest).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -76,12 +75,24 @@ class GlexTable:
         return slice(self.offset(d), self.offset(d) + dim_homog(self.n, d))
 
 
+def _glex_indices(n: int, d_max: int) -> list[MultiIndex]:
+    """The indices of degree <= d_max in Glex order, built degree block by block.
+
+    blocks[d] is the degree-d block in the last k variables.  Prepending a
+    variable lists its exponent a descending, each followed by the block of
+    degree d - a: that is the Glex order, so nothing is sorted.
+    """
+    blocks = [[(d,)] for d in range(d_max + 1)]
+    for _ in range(n - 1):
+        blocks = [[(a, *tail) for a in range(d, -1, -1) for tail in blocks[d - a]] for d in range(d_max + 1)]
+    return [alpha for block in blocks for alpha in block]
+
+
 @lru_cache(maxsize=None)
 def glex_enumerate(n: int, d_max: int) -> GlexTable:
     """Enumerate all multi-indices with degree <= d_max, Glex-sorted."""
     dim_total(n, d_max)  # validates arguments and the count range
-    idx = [a for a in itertools.product(range(d_max + 1), repeat=n) if sum(a) <= d_max]
-    idx.sort(key=glex_key)
+    idx = _glex_indices(n, d_max)
     return GlexTable(n, d_max, tuple(idx), {a: i for i, a in enumerate(idx)})
 
 

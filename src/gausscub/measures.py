@@ -47,14 +47,16 @@ ONE_D_WEIGHTS = ("lebesgue", "chebyshev1", "chebyshev2", "hermite")
 # Weights with compact support on [-1, 1]; used for the node-location check.
 _BOX_WEIGHTS = ("lebesgue", "chebyshev1", "chebyshev2")
 
+PIVOT_TOL = 1e-10  # smallest accepted equilibrated Cholesky pivot, relative to the largest entry
+
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """A catalog entry (product of 1-D weights or the symmetrized 2-D family)."""
+    """A catalog entry (product of 1-D weights or the symmetrized 2-D family,
+    whose only supported parameter is alpha = 1/2)."""
 
     kind: str  # "product-1d" | "symmetrized-2d"
     weights: tuple[str, ...] = ()
-    alpha: float = 0.5
 
     def __post_init__(self):
         if self.kind == "product-1d":
@@ -63,10 +65,7 @@ class MeasureSpec:
             for w in self.weights:
                 if w not in ONE_D_WEIGHTS:
                     raise ValueError(f"unknown 1-D weight tag {w!r}")
-        elif self.kind == "symmetrized-2d":
-            if self.alpha != 0.5:
-                raise ValueError("symmetrized-2d family only supports alpha = 1/2")
-        else:
+        elif self.kind != "symmetrized-2d":
             raise ValueError(f"unknown measure kind {self.kind!r}")
 
     @property
@@ -307,7 +306,7 @@ def moment_matrix(seq: MomentSequence, d: int) -> np.ndarray:
     return seq.vector(glex_enumerate(seq.n, 2 * d))[glex_rank(exps[:, None], exps[None, :])]
 
 
-def psd_cholesky(mat, eps_pd: float = 1e-10) -> np.ndarray:
+def psd_cholesky(mat) -> np.ndarray:
     """Cholesky factor L with M = L L^T, or NotPositiveDefiniteError.
 
     The matrix is diagonally equilibrated before the pivot test so that the
@@ -324,7 +323,7 @@ def psd_cholesky(mat, eps_pd: float = 1e-10) -> np.ndarray:
     diag = np.diag(a).copy()
     d = np.sqrt(np.where(diag > 0, diag, 1.0))
     ah = a / np.outer(d, d)
-    thresh = eps_pd * max(1.0, np.abs(ah).max())
+    thresh = PIVOT_TOL * max(1.0, np.abs(ah).max())
     low = np.zeros_like(ah)
     for j in range(k):
         pivot = ah[j, j] - low[j, :j] @ low[j, :j]

@@ -3,8 +3,8 @@
 A positive verdict is equivalent to existence of a degree-2m combination Q
 of the orthonormal polynomials with integral(P_gamma P_beta Q) = delta for
 all degree-m pairs.  With v the verdict's moment shift and u = S_top v, that
-identity holds for Q = -u^T P_2m; the `sign` flag also exposes the +u
-convention, under which the pairing instead returns -I.
+identity holds for Q = -u^T P_2m, the one certificate built here (the +u
+sign would make the pairing return -I instead).
 
 Every check pairs Q with the raw moments: one product of the moment matrix
 with Q's monomial coefficients gives L_y(x^alpha Q) for all |alpha| <= 2m,
@@ -12,8 +12,8 @@ and each identity is a gather or a contraction of that vector with monomial
 coefficients, evaluated in np.longdouble so that the reported deviation is
 the certificate's and not rounding noise.  The checks never go through the
 Cholesky factor: there L_y(P_gamma P_beta Q) - delta is the existence
-defect itself, and the top-degree pairing is sign * u exactly, so both
-checks would hold by construction.
+defect itself, and the top-degree pairing is -u exactly, so both checks
+would hold by construction.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .ortho import OrthoBasis, eval_P
 class CertificatePolynomial:
     n: int
     m: int
-    sign: int
     u: np.ndarray = field(repr=False)
     coeffs: np.ndarray = field(repr=False)  # monomial basis, Glex ranks up to s_2m
 
@@ -43,17 +42,15 @@ class RemarkReport:
 
     u_from_rule: float  # u vs the weighted top-degree basis values at the nodes
     low_degree: float  # L_y(P_alpha Q) for |alpha| < 2m (must vanish)
-    top_degree: float  # L_y(P_alpha Q) vs sign * u_alpha for |alpha| = 2m
+    top_degree: float  # L_y(P_alpha Q) vs -u_alpha for |alpha| = 2m
     mean: float  # integral of Q itself (must vanish)
 
 
-def build_Q(basis: OrthoBasis, v: np.ndarray, sign: int = -1) -> CertificatePolynomial:
-    """Monomial coefficients of sign * u^T P_2m (degree-2m block of the basis).
+def build_Q(basis: OrthoBasis, v: np.ndarray) -> CertificatePolynomial:
+    """Monomial coefficients of -u^T P_2m (degree-2m block of the basis).
 
     v is the existence solution (the degree-2m moment shift); u = S_top v.
     """
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
     if basis.d % 2 != 0:
         raise ValueError("basis degree must be even (2m)")
     m = basis.d // 2
@@ -63,8 +60,7 @@ def build_Q(basis: OrthoBasis, v: np.ndarray, sign: int = -1) -> CertificatePoly
         raise ValueError(f"v must have length r_2m = {r2m}")
     top = basis.block(2 * m)
     u = basis.coeffs[top, top] @ v
-    coeffs = sign * (u @ basis.coeffs[top])
-    return CertificatePolynomial(basis.n, m, sign, u, coeffs)
+    return CertificatePolynomial(basis.n, m, u, -(u @ basis.coeffs[top]))
 
 
 def _moments_times_Q(y: MomentSequence, q: CertificatePolynomial) -> np.ndarray:
@@ -72,37 +68,31 @@ def _moments_times_Q(y: MomentSequence, q: CertificatePolynomial) -> np.ndarray:
     return moment_matrix(y, 2 * q.m).astype(np.longdouble) @ q.coeffs
 
 
-def verify_corollary(
-    y: MomentSequence, basis: OrthoBasis, q: CertificatePolynomial, m: int
-) -> float:
+def verify_corollary(y: MomentSequence, basis: OrthoBasis, q: CertificatePolynomial) -> float:
     """Max deviation of L_y(P_gamma P_beta Q), |gamma| = |beta| = m, from the identity matrix.
 
     The pairing is S_m H S_m^T with H[a, b] = L_y(x^(a+b) Q), a gather of
     the moments-times-Q vector.
     """
-    sm = dim_total(y.n, m)
+    sm = dim_total(y.n, q.m)
     exps = np.array(basis.table.indices[:sm])
     h = _moments_times_Q(y, q)[glex_rank(exps[:, None], exps[None, :])]
-    s = basis.coeffs[basis.block(m), :sm]
+    s = basis.coeffs[basis.block(q.m), :sm]
     g = s @ h @ s.T
     return float(np.abs(g - np.eye(len(s))).max())
 
 
 def verify_remark(
-    y: MomentSequence,
-    basis: OrthoBasis,
-    q: CertificatePolynomial,
-    m: int,
-    rule: CubatureRule,
+    y: MomentSequence, basis: OrthoBasis, q: CertificatePolynomial, rule: CubatureRule
 ) -> RemarkReport:
     """Check the rule/certificate identities; all deviations should be ~0."""
     w_prob = rule.weights / rule.scale
-    u_rule = w_prob @ eval_P(basis, 2 * m, rule.nodes)
+    u_rule = w_prob @ eval_P(basis, 2 * q.m, rule.nodes)
     dev_u = float(np.abs(u_rule - q.u).max())
     hq = _moments_times_Q(y, q)
     pq = basis.coeffs @ hq  # L_y(P_alpha Q), |alpha| <= 2m
-    top = basis.block(2 * m)
+    top = basis.block(2 * q.m)
     dev_low = float(np.abs(pq[: top.start]).max())
-    # |alpha| = 2m slice: orthonormality turns the pairing into sign * u_alpha.
-    dev_top = float(np.abs(pq[top] - q.sign * q.u).max())
+    # |alpha| = 2m slice: orthonormality turns the pairing into -u_alpha.
+    dev_top = float(np.abs(pq[top] + q.u).max())
     return RemarkReport(dev_u, dev_low, dev_top, float(abs(hq[0])))

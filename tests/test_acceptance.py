@@ -127,9 +127,9 @@ def test_criterion_5_certificate_identities():
         y, basis, verdict = _solve(spec_text, m)
         assert verdict.exists
         q = build_Q(basis, verdict.u)
-        assert verify_corollary(y, basis, q, m) <= 1e-8, (spec_text, m)
+        assert verify_corollary(y, basis, q) <= 1e-8, (spec_text, m)
         rule = build_rule(y, basis, m)
-        remark = verify_remark(y, basis, q, m, rule)
+        remark = verify_remark(y, basis, q, rule)
         assert remark.u_from_rule <= 1e-8, (spec_text, m)
         assert remark.low_degree <= 1e-8, (spec_text, m)
         assert remark.mean <= 1e-8, (spec_text, m)

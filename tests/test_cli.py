@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from gausscub.measures import (
 )
 
 from conftest import fuzz_moments
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *args):
@@ -214,6 +219,46 @@ def test_qcheck_subcommand(capsys):
     code, out, _ = run_cli(capsys, "qcheck", "--catalog", "symmetrized:0.5", "--m", "2")
     assert code == EXIT_OK
     assert "corollary" in out
+
+
+def test_qcheck_machine_keys(capsys):
+    code, out, _ = run_cli(capsys, "qcheck", "--catalog", "lebesgue^1", "--m", "3", "--format", "machine")
+    assert code == EXIT_OK
+    keys = [line.split(" = ")[0] for line in out.strip().splitlines()]
+    assert keys == [
+        "verdict",
+        "corollary_deviation",
+        "remark_u_from_rule",
+        "remark_low_degree",
+        "remark_top_degree",
+        "remark_mean",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # exists builds no rule, so it takes no rule options
+        ["exists", "--catalog", "lebesgue^1", "--m", "2", "--seed", "3"],
+        ["exists", "--catalog", "lebesgue^1", "--m", "2", "--commutation-tol", "1e-3"],
+        # the certificate has one sign convention, Q = -u^T P_2m
+        ["qcheck", "--catalog", "lebesgue^1", "--m", "3", "--sign", "1"],
+    ],
+)
+def test_options_a_command_does_not_read_exit_20(argv):
+    assert exit_code(argv) == EXIT_INPUT
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    # `gausscub moments ... | head -1`: the reader closes after one line
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "gausscub.cli", "moments", "--catalog", "lebesgue^4", "--d-max", "20"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"n = 4\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_OK
+    assert b"Traceback" not in err and b"BrokenPipe" not in err
 
 
 def test_input_errors_exit_20(capsys, tmp_path):

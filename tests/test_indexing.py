@@ -86,6 +86,13 @@ def test_glex_enumerate_sorted_and_complete(n, d_max):
         assert table.rank(alpha) == i
 
 
+def test_glex_enumerate_matches_sorted_brute_force():
+    # the table is built block by block; the definition is the sort by glex_key
+    for n in range(1, 6):
+        for d_max in range(7):
+            assert list(glex_enumerate(n, d_max).indices) == sorted(brute_monomials(n, d_max), key=glex_key)
+
+
 def test_degree_blocks():
     table = glex_enumerate(3, 4)
     for d in range(5):

@@ -248,6 +248,4 @@ def test_measure_spec_validation():
     with pytest.raises(ValueError):
         MeasureSpec("product-1d", weights=("nope",))
     with pytest.raises(ValueError):
-        MeasureSpec("symmetrized-2d", alpha=1.0)
-    with pytest.raises(ValueError):
         MeasureSpec("weird")
