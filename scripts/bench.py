@@ -5,8 +5,9 @@
     python3 scripts/bench.py --out BENCH_new.json --seeds 1 1 2 --compare BENCH_old.json
 
 For every workload and seed this runs `perfbench/run.py --trace 0` in a
-fresh process (run from the root of this checkout) and reads the result that
-run writes to perfbench/out/.  The file records each run's end-to-end
+fresh process (run from the root of this checkout) for the benchmark's
+`run_seconds`, and reads the result that run writes to perfbench/out/.  The
+workloads and the run length are those of BENCHMARK.json.  The file records each run's end-to-end
 metrics, their median and interquartile range per workload, and the machine.
 A seed may be repeated to get several runs of the same requests.
 
@@ -32,9 +33,11 @@ import tempfile
 import time
 from pathlib import Path
 
-# One BLAS thread, as in perfbench's worker, so the reach grid's wall seconds
-# do not depend on how many threads the library would otherwise start.
-os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+if __name__ == "__main__":
+    # One BLAS thread, as in perfbench's worker, so the reach grid's wall seconds
+    # do not depend on how many threads the library would otherwise start.  Set
+    # before numpy loads, and only when run: importing this file changes nothing.
+    os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 import numpy as np  # noqa: E402
 
@@ -44,7 +47,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from gausscub import cli, measures  # noqa: E402
 from gausscub.indexing import glex_enumerate  # noqa: E402
 
-WORKLOADS = ("decide-catalog", "decide-random", "construct-yes")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 STRETCHED = "symmetrized:0.5, x1 stretched by 1e3"
 REACH = (
     [("symmetrized:0.5", m) for m in range(5, 11)]
@@ -56,11 +60,11 @@ REACH = (
 REACH_KEYS = ("relative_residual", "noise_floor", "t_m")
 
 
-def run_once(workload: str, seed: int, seconds: int) -> dict:
-    """One `perfbench/run.py --trace 0` run: its JSON result, with the report."""
+def run_once(workload: str, seed: int) -> dict:
+    """One `perfbench/run.py --trace 0` run of the benchmark's length: its JSON result."""
     subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
         cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
     )
     return json.loads((ROOT / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json").read_text())
@@ -119,9 +123,8 @@ def ratios(new: dict, old: dict) -> list[tuple[str, str, float]]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
-    ap.add_argument("--seconds", type=int, default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     ap.add_argument("--compare", help="earlier file written by this script")
     args = ap.parse_args()
 
@@ -129,12 +132,12 @@ def main() -> int:
     for workload in args.workloads:
         runs[workload] = []
         for seed in args.seeds:
-            result = run_once(workload, seed, args.seconds)
+            result = run_once(workload, seed)
             machine = machine or result["report"]["machine"]
             runs[workload].append({k: result[k] for k in ("correct", "failed", "metrics")} | {"seed": seed})
     doc = {
         "machine": machine,
-        "seconds": args.seconds,
+        "seconds": BENCHMARK["run_seconds"],
         "summary": {w: summarise(r) for w, r in runs.items()},
         "runs": runs,
         "reach": reach(),

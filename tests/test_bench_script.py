@@ -1,9 +1,14 @@
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "bench.py"
 
 
 @pytest.fixture(scope="module")
@@ -12,6 +17,21 @@ def bench():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_import_leaves_the_environment_alone():
+    before = dict(os.environ)
+    spec = importlib.util.spec_from_file_location("bench_fresh", SCRIPT)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    assert dict(os.environ) == before
+
+
+def test_workloads_and_run_length_are_the_benchmarks(bench):
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert bench.WORKLOADS == [w["name"] for w in benchmark["workloads"]]
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--out", os.devnull, "--seconds", "5"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and "--seconds" in proc.stderr
 
 
 def test_summary_is_median_and_iqr(bench):
