@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.random import default_rng  # numpy loads it lazily: load it on import, not in a request
 
-from .indexing import dim_homog, dim_total, glex_enumerate, glex_rank
-from .measures import MomentFormatError, MomentSequence
+from .indexing import dim_homog, dim_total, glex_enumerate, pair_ranks
+from .measures import MomentFormatError, MomentSequence, format_text, read_text
 from .ortho import OrthoBasis, eval_monomials, eval_P, gram_in_ortho_basis
 
 DEFAULT_SEED = 7
@@ -61,9 +61,12 @@ class CubatureRule:
     m: int
     nodes: np.ndarray = field(repr=False)  # (s_{m-1}, n)
     weights: np.ndarray = field(repr=False)  # rescaled by the measure mass
-    precision: int
     scale: float
     report: ExactnessReport | None = None
+
+    @property
+    def precision(self) -> int:
+        return 2 * self.m - 1
 
 
 def complete_moments(y: MomentSequence, v: np.ndarray, m: int) -> MomentSequence:
@@ -110,12 +113,11 @@ def multiplication_operators(y: MomentSequence, basis: OrthoBasis, m: int) -> Mu
     if basis.d < m - 1:
         raise ValueError(f"basis built to degree {basis.d}, need {m - 1}")
     s1 = dim_total(y.n, m - 1)
-    exps = np.array(basis.table.indices[:s1])
     moments = y.vector(glex_enumerate(y.n, 2 * m - 1))
     s = basis.coeffs[:s1, :s1]
     mats = []
     for ei in np.eye(y.n, dtype=int):
-        ni = s @ moments[glex_rank(exps[:, None], exps[None, :], ei)] @ s.T
+        ni = s @ moments[pair_ranks(y.n, m - 1, ei)] @ s.T
         mats.append(0.5 * (ni + ni.T))
     return MultiplicationOperators(y.n, m, tuple(mats))
 
@@ -224,25 +226,23 @@ def build_rule(
     ops = multiplication_operators(y, basis, m)
     nodes = extract_nodes(ops, tol=commutation_tol, seed=seed)
     weights = compute_weights(y, basis, nodes)
-    rule = CubatureRule(y.n, m, nodes, weights, precision=2 * m - 1, scale=y.scale)
+    rule = CubatureRule(y.n, m, nodes, weights, scale=y.scale)
     return replace(rule, report=verify_exactness(rule, y, basis, box=box))
 
 
 # ---------------------------------------------------------------------------
-# Rule file format: a header, one `x1 ... xn : weight` record per node in
-# hex-float precision, and a trailing verification block in comments.
+# Rule file format, in the grammar of `measures.read_text`: a header, one
+# `x1 ... xn : weight` record per node in hex-float precision, and a trailing
+# verification block in comments.
 
 
 def store_rule(rule: CubatureRule, path) -> None:
-    lines = [
-        f"n = {rule.n}",
-        f"m = {rule.m}",
-        f"precision = {rule.precision}",
-        f"scale = {rule.scale.hex()}",
+    header = {"n": rule.n, "m": rule.m, "precision": rule.precision, "scale": rule.scale.hex()}
+    records = [
+        (" ".join(float(c).hex() for c in x), float(w).hex())
+        for x, w in zip(rule.nodes, rule.weights, strict=True)
     ]
-    for x, w in zip(rule.nodes, rule.weights, strict=True):
-        coords = " ".join(float(c).hex() for c in x)
-        lines.append(f"{coords} : {float(w).hex()}")
+    lines = [format_text(header, records, " : ")]
     if rule.report is not None:
         lines.append(f"# max_exactness_error = {rule.report.max_error!r}")
         lines.append(f"# node_residual = {rule.report.node_residual!r}")
@@ -253,29 +253,7 @@ def store_rule(rule: CubatureRule, path) -> None:
 
 
 def load_rule(path) -> CubatureRule:
-    header: dict[str, str] = {}
-    records: list[tuple[list[float], float]] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" in line:
-                left, _, right = line.partition(":")
-                try:
-                    coords = [float.fromhex(tok) for tok in left.split()]
-                    weight = float.fromhex(right.strip())
-                except ValueError:
-                    raise MomentFormatError(f"line {lineno}: bad rule record {line!r}")
-                records.append((coords, weight))
-            elif "=" in line:
-                key, _, val = line.partition("=")
-                header[key.strip()] = val.strip()
-            else:
-                raise MomentFormatError(f"line {lineno}: unparseable line {line!r}")
-    for key in ("n", "m", "precision", "scale"):
-        if key not in header:
-            raise MomentFormatError(f"missing rule header field {key!r}")
+    header, records = read_text(path, ("n", "m", "precision", "scale"))
     try:
         n = int(header["n"])
         m = int(header["m"])
@@ -283,12 +261,18 @@ def load_rule(path) -> CubatureRule:
         scale = float.fromhex(header["scale"])
     except ValueError:
         raise MomentFormatError("malformed rule header")
+    if precision != 2 * m - 1:
+        raise MomentFormatError(f"precision {precision} is not 2m - 1 = {2 * m - 1}")
     expected = dim_total(n, m - 1)
     if len(records) != expected:
         raise MomentFormatError(f"rule has {len(records)} nodes, expected s_(m-1) = {expected}")
-    for coords, _ in records:
-        if len(coords) != n:
-            raise MomentFormatError("node dimension mismatch in rule file")
-    nodes = np.array([c for c, _ in records])
-    weights = np.array([w for _, w in records])
-    return CubatureRule(n, m, nodes, weights, precision=precision, scale=scale)
+    nodes, weights = [], []
+    for lineno, left, right in records:
+        try:
+            nodes.append([float.fromhex(tok) for tok in left.split()])
+            weights.append(float.fromhex(right))
+        except ValueError:
+            raise MomentFormatError(f"line {lineno}: bad rule record {left} : {right}")
+        if len(nodes[-1]) != n:
+            raise MomentFormatError(f"line {lineno}: node dimension mismatch in rule file")
+    return CubatureRule(n, m, np.array(nodes), np.array(weights), scale=scale)

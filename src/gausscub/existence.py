@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indexing import dim_total, glex_enumerate, glex_rank
+from .indexing import dim_total, pair_ranks
 from .measures import MomentSequence, moment_matrix, psd_cholesky
 
 
@@ -66,8 +66,7 @@ def decide(y: MomentSequence, m: int, tol: float = 1e-8) -> Verdict:
     ch = mh[s1:, s1:]
     rh = w.T @ w - ch
     # class of (alpha, alpha') = position of alpha + alpha' among the degree-2m indices
-    exps = np.array(glex_enumerate(y.n, m).indices[s1:])
-    cls = (glex_rank(exps[:, None], exps[None, :]) - dim_total(y.n, 2 * m - 1)).ravel()
+    cls = (pair_ranks(y.n, m)[s1:, s1:] - dim_total(y.n, 2 * m - 1)).ravel()
     dc = np.outer(d[s1:], d[s1:]).ravel()
     v = np.bincount(cls, rh.ravel() * dc) / np.bincount(cls)
     residual = float(np.linalg.norm(rh.ravel() - v[cls] / dc))

@@ -41,11 +41,6 @@ def dim_homog(n: int, d: int) -> int:
     return c
 
 
-def glex_key(alpha: MultiIndex):
-    """Sort key realizing the Glex order (degree first, x1 heaviest)."""
-    return (sum(alpha), tuple(-a for a in alpha))
-
-
 @dataclass(frozen=True, eq=False)
 class GlexTable:
     """All multi-indices of degree <= d_max in n variables, in Glex order."""
@@ -121,6 +116,14 @@ def glex_rank(*exps) -> np.ndarray:
             c = c * (tail + j - i) // (i + 1)
         rank += c
     return rank
+
+
+def pair_ranks(n: int, d: int, shift=None) -> np.ndarray:
+    """Glex ranks of alpha + beta (+ shift) over |alpha|, |beta| <= d, the layout of every
+    moment matrix: y[pair_ranks(n, d)] is M_d, and shift e_i gives L_y(x_i x^alpha x^beta)."""
+    exps = np.array(glex_enumerate(n, d).indices)
+    extra = () if shift is None else (shift,)
+    return glex_rank(exps[:, None], exps[None, :], *extra)
 
 
 def format_multiindex(alpha: MultiIndex) -> str:

@@ -24,7 +24,7 @@ from .indexing import (
     dim_total,
     format_multiindex,
     glex_enumerate,
-    glex_rank,
+    pair_ranks,
     parse_multiindex,
 )
 
@@ -52,31 +52,25 @@ PIVOT_TOL = 1e-10  # smallest accepted equilibrated Cholesky pivot, relative to 
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """A catalog entry (product of 1-D weights or the symmetrized 2-D family,
-    whose only supported parameter is alpha = 1/2)."""
+    """A catalog entry: the product of n copies of a 1-D weight, or the
+    symmetrized 2-D family (name "symmetrized", n = 2), whose only supported
+    parameter is alpha = 1/2."""
 
-    kind: str  # "product-1d" | "symmetrized-2d"
-    weights: tuple[str, ...] = ()
+    name: str  # a 1-D weight tag or "symmetrized"
+    n: int
 
     def __post_init__(self):
-        if self.kind == "product-1d":
-            if not self.weights:
-                raise ValueError("product-1d spec needs at least one weight tag")
-            for w in self.weights:
-                if w not in ONE_D_WEIGHTS:
-                    raise ValueError(f"unknown 1-D weight tag {w!r}")
-        elif self.kind != "symmetrized-2d":
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.weights) if self.kind == "product-1d" else 2
+        if self.name == "symmetrized":
+            if self.n != 2:
+                raise ValueError(f"the symmetrized family has n = 2, got {self.n}")
+        elif self.name not in ONE_D_WEIGHTS:
+            raise ValueError(f"unknown 1-D weight tag {self.name!r}")
+        elif self.n < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.n}")
 
     def box_support(self) -> tuple[float, float] | None:
-        """[-1,1]^n when every factor has compact box support, else None."""
-        if self.kind == "product-1d" and all(w in _BOX_WEIGHTS for w in self.weights):
-            return (-1.0, 1.0)
-        return None
+        """[-1,1]^n when the weight has compact box support, else None."""
+        return (-1.0, 1.0) if self.name in _BOX_WEIGHTS else None
 
 
 _SPEC_RE = re.compile(r"^([a-z0-9]+)(\^(\d+))?$")
@@ -89,15 +83,11 @@ def parse_measure_spec(text: str) -> MeasureSpec:
         _, _, param = text.partition(":")
         if param.strip() not in ("0.5", "1/2", "+0.5"):
             raise ValueError(f"unsupported symmetrized parameter {param!r}")
-        return MeasureSpec("symmetrized-2d")
+        return MeasureSpec("symmetrized", 2)
     m = _SPEC_RE.match(text)
     if not m:
         raise ValueError(f"malformed measure spec {text!r}")
-    name = m.group(1)
-    n = int(m.group(3)) if m.group(3) else 1
-    if n < 1:
-        raise ValueError(f"measure spec {text!r}: dimension must be >= 1")
-    return MeasureSpec("product-1d", weights=(name,) * n)
+    return MeasureSpec(m.group(1), int(m.group(3)) if m.group(3) else 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +105,8 @@ class MomentSequence:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         object.__setattr__(self, "array", np.asarray(self.array, dtype=float))
         if self.array.shape != (dim_total(self.n, self.d_max),):
             raise ValueError(f"need one moment per index of degree <= {self.d_max}, got {self.array.shape}")
@@ -180,17 +170,18 @@ def _symmetrized_moments(d_max: int) -> tuple[np.ndarray, float]:
 
 def catalog_moments(spec: MeasureSpec, d_max: int) -> MomentSequence:
     """Closed-form (or exactly-quadratured) moments, probability-normalized."""
-    if spec.kind == "symmetrized-2d":
+    if spec.name == "symmetrized":
         if d_max > 500:
             raise ValueError("d_max too large for the internal quadrature table")
         array, mass = _symmetrized_moments(d_max)
         return MomentSequence(2, d_max, array, normalized=True, scale=mass)
     exps = np.array(glex_enumerate(spec.n, d_max).indices)
-    masses = [_moment_1d(w, 0) for w in spec.weights]
+    m0 = _moment_1d(spec.name, 0)
+    one_d = np.array([_moment_1d(spec.name, k) / m0 for k in range(d_max + 1)])
     array = np.ones(len(exps))
-    for i, (w, m0) in enumerate(zip(spec.weights, masses)):
-        array *= np.array([_moment_1d(w, k) / m0 for k in range(d_max + 1)])[exps[:, i]]
-    return MomentSequence(spec.n, d_max, array, normalized=True, scale=math.prod(masses))
+    for i in range(spec.n):
+        array *= one_d[exps[:, i]]
+    return MomentSequence(spec.n, d_max, array, normalized=True, scale=math.prod([m0] * spec.n))
 
 
 def normalize_probability(seq: MomentSequence) -> MomentSequence:
@@ -206,7 +197,10 @@ def normalize_probability(seq: MomentSequence) -> MomentSequence:
 
 
 # ---------------------------------------------------------------------------
-# Moment file format.  A small textual document:
+# Text files.  Moment and rule files share one grammar: `key = value` header
+# lines, `left : right` records, blank lines and `#` comments.  A header key
+# is a word and a header value or a record's right side is one token; a line
+# with a `:` is a record.  A moment file:
 #
 #   n = 2
 #   d_max = 4
@@ -217,8 +211,41 @@ def normalize_probability(seq: MomentSequence) -> MomentSequence:
 #
 # Values may be decimal or hex-float; hex-floats make round trips bit-exact.
 
-_HEADER_RE = re.compile(r"^(\w+)\s*=\s*(\S+)$")
-_RECORD_RE = re.compile(r'^"([0-9,]+)"\s*:\s*(\S+)$')
+_KEY_RE = re.compile(r"\w+")
+_INDEX_RE = re.compile(r'"([0-9,]+)"')
+
+
+def read_text(path, required) -> tuple[dict[str, str], list[tuple[int, str, str]]]:
+    """The header fields and the (lineno, left, right) records of a text file;
+    MomentFormatError names a line that fits neither form or a missing `required` field."""
+    header: dict[str, str] = {}
+    records: list[tuple[int, str, str]] = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            left, colon, right = line.partition(":")
+            if not colon:  # a header line
+                left, _, right = line.partition("=")
+            left, value = left.rstrip(), right.split()
+            if len(value) != 1 or not (colon or _KEY_RE.fullmatch(left)):
+                raise MomentFormatError(f"line {lineno}: unparseable line {line!r}")
+            if colon:
+                records.append((lineno, left, value[0]))
+            else:
+                header[left] = value[0]
+    for key in required:
+        if key not in header:
+            raise MomentFormatError(f"missing header field {key!r}")
+    return header, records
+
+
+def format_text(header: dict, records, sep: str) -> str:
+    """The text of header fields and (left, right) records joined by `sep`, without the final newline."""
+    lines = [f"{key} = {value}" for key, value in header.items()]
+    lines += [f"{left}{sep}{right}" for left, right in records]
+    return "\n".join(lines)
 
 
 def _parse_value(text: str) -> float:
@@ -232,15 +259,10 @@ def _parse_value(text: str) -> float:
 
 def format_moments(seq: MomentSequence) -> str:
     """The moment-file text of a sequence, without the final newline."""
-    lines = [
-        f"n = {seq.n}",
-        f"d_max = {seq.d_max}",
-        f"normalized = {'true' if seq.normalized else 'false'}",
-        f"scale = {seq.scale.hex()}",
-    ]
+    header = {"n": seq.n, "d_max": seq.d_max, "normalized": str(seq.normalized).lower(), "scale": seq.scale.hex()}
     indices = glex_enumerate(seq.n, seq.d_max).indices
-    lines += [f'"{format_multiindex(a)}": {v.hex()}' for a, v in zip(indices, seq.array.tolist())]
-    return "\n".join(lines)
+    records = [(f'"{format_multiindex(a)}"', v.hex()) for a, v in zip(indices, seq.array.tolist())]
+    return format_text(header, records, ": ")
 
 
 def store_moments(seq: MomentSequence, path) -> None:
@@ -249,25 +271,7 @@ def store_moments(seq: MomentSequence, path) -> None:
 
 
 def load_moments(path) -> MomentSequence:
-    header: dict[str, str] = {}
-    records: dict[MultiIndex, float] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if m := _RECORD_RE.match(line):
-                alpha = parse_multiindex(m.group(1))
-                if alpha in records:
-                    raise MomentFormatError(f"line {lineno}: duplicate multi-index {alpha}")
-                records[alpha] = _parse_value(m.group(2))
-            elif m := _HEADER_RE.match(line):
-                header[m.group(1)] = m.group(2)
-            else:
-                raise MomentFormatError(f"line {lineno}: unparseable line {line!r}")
-    for key in ("n", "d_max", "normalized", "scale"):
-        if key not in header:
-            raise MomentFormatError(f"missing header field {key!r}")
+    header, lines = read_text(path, ("n", "d_max", "normalized", "scale"))
     try:
         n = int(header["n"])
         d_max = int(header["d_max"])
@@ -277,13 +281,21 @@ def load_moments(path) -> MomentSequence:
         raise MomentFormatError("normalized must be true or false")
     normalized = header["normalized"] == "true"
     scale = _parse_value(header["scale"])
-    for alpha, v in records.items():
-        if len(alpha) != n:
-            raise MomentFormatError(f"multi-index {alpha} has dimension {len(alpha)}, expected {n}")
+    records: dict[MultiIndex, float] = {}
+    for lineno, left, right in lines:
+        if (index := _INDEX_RE.fullmatch(left)) is None:
+            raise MomentFormatError(f"line {lineno}: a record needs a quoted multi-index, got {left!r}")
+        try:
+            alpha = parse_multiindex(index[1], n)
+        except ValueError as e:
+            raise MomentFormatError(f"line {lineno}: {e}")
+        if alpha in records:
+            raise MomentFormatError(f"line {lineno}: duplicate multi-index {alpha}")
         if sum(alpha) > d_max:
-            raise MomentFormatError(f"multi-index {alpha} exceeds declared d_max={d_max}")
-        if not math.isfinite(v):
-            raise MomentFormatError(f"non-finite value for {alpha}")
+            raise MomentFormatError(f"line {lineno}: multi-index {alpha} exceeds declared d_max={d_max}")
+        records[alpha] = _parse_value(right)
+        if not math.isfinite(records[alpha]):
+            raise MomentFormatError(f"line {lineno}: non-finite value for {alpha}")
     try:
         array = np.array([records[a] for a in glex_enumerate(n, d_max).indices])
     except KeyError as e:
@@ -302,8 +314,7 @@ def load_moments(path) -> MomentSequence:
 
 def moment_matrix(seq: MomentSequence, d: int) -> np.ndarray:
     """Symmetric s_d x s_d matrix with entry (alpha, beta) = y_{alpha+beta}, Glex layout."""
-    exps = np.array(glex_enumerate(seq.n, d).indices)
-    return seq.vector(glex_enumerate(seq.n, 2 * d))[glex_rank(exps[:, None], exps[None, :])]
+    return seq.vector(glex_enumerate(seq.n, 2 * d))[pair_ranks(seq.n, d)]
 
 
 def psd_cholesky(mat) -> np.ndarray:

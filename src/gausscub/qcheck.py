@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cubature import CubatureRule
-from .indexing import dim_homog, dim_total, glex_rank
+from .indexing import dim_homog, dim_total, pair_ranks
 from .measures import MomentSequence, moment_matrix
 from .ortho import OrthoBasis, eval_P
 
@@ -75,8 +75,7 @@ def verify_corollary(y: MomentSequence, basis: OrthoBasis, q: CertificatePolynom
     the moments-times-Q vector.
     """
     sm = dim_total(y.n, q.m)
-    exps = np.array(basis.table.indices[:sm])
-    h = _moments_times_Q(y, q)[glex_rank(exps[:, None], exps[None, :])]
+    h = _moments_times_Q(y, q)[pair_ranks(y.n, q.m)]
     s = basis.coeffs[basis.block(q.m), :sm]
     g = s @ h @ s.T
     return float(np.abs(g - np.eye(len(s))).max())

@@ -1,5 +1,7 @@
-"""Independent cross-check oracles for the orthonormal basis and the existence test.
+"""Independent cross-check oracles for the Glex order, the orthonormal basis and the existence test.
 
+`glex_key` defines the Glex order as a sort key; `glex_enumerate` builds
+the order block by block without sorting.
 `triple_product` evaluates L_y(P_gamma P_beta P_kappa) entry by entry from
 raw moments through the dict of one product's monomial coefficients that
 `product_coeffs` builds, and `ortho_det_oracle` builds P_sigma from bordered
@@ -24,6 +26,11 @@ import numpy as np
 from gausscub.indexing import MultiIndex, dim_homog, dim_total, glex_enumerate, glex_rank
 from gausscub.measures import MomentSequence, moment_matrix, psd_cholesky
 from gausscub.ortho import OrthoBasis, build_orthobasis
+
+
+def glex_key(alpha: MultiIndex):
+    """Sort key realizing the Glex order (degree first, x1 heaviest)."""
+    return (sum(alpha), tuple(-a for a in alpha))
 
 
 def ortho_det_oracle(y: MomentSequence, sigma: MultiIndex) -> np.ndarray:

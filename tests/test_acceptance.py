@@ -18,14 +18,14 @@ from gausscub.cubature import (
     multiplication_operators,
 )
 from gausscub.existence import decide
-from gausscub.indexing import dim_homog, dim_total, glex_enumerate, glex_key, glex_rank
+from gausscub.indexing import dim_homog, dim_total, glex_enumerate, glex_rank
 from gausscub.measures import load_moments, moment_matrix, store_moments
 from gausscub.ortho import build_orthobasis, eval_P
 from gausscub.qcheck import build_Q, verify_corollary, verify_remark
 
 from conftest import catalog
 from golub_welsch import gauss_rule
-from oracles import leading_form_system, lstsq_verdict, ortho_det_oracle, top_factor
+from oracles import glex_key, leading_form_system, lstsq_verdict, ortho_det_oracle, top_factor
 
 ONE_D_TAGS = ("lebesgue", "chebyshev1", "chebyshev2", "hermite")
 

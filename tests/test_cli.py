@@ -278,6 +278,31 @@ def test_input_errors_exit_20(capsys, tmp_path):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", ["exists", "cubature"])
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_non_finite_scale_exits_20(capsys, tmp_path, command, scale):
+    # the scale is the mass that cubature weights are multiplied by
+    path = tmp_path / "m.txt"
+    run_cli(capsys, "moments", "--catalog", "lebesgue^1", "--d-max", "6", "--out", str(path))
+    text = path.read_text()
+    path.write_text(re.sub(r"(?m)^scale = \S+$", f"scale = {scale}", text))
+    assert path.read_text() != text
+    code, _, err = run_cli(capsys, command, "--moments", str(path), "--m", "3")
+    assert code == EXIT_INPUT
+    assert "scale" in err
+
+
+def test_verify_rejects_a_precision_other_than_2m_minus_1(capsys, tmp_path):
+    rule_path = tmp_path / "rule.txt"
+    run_cli(capsys, "cubature", "--catalog", "lebesgue^1", "--m", "2", "--out", str(rule_path))
+    text = rule_path.read_text()
+    assert "\nprecision = 3\n" in text
+    rule_path.write_text(text.replace("\nprecision = 3\n", "\nprecision = 9\n"))
+    code, _, err = run_cli(capsys, "verify", "--rule", str(rule_path), "--catalog", "lebesgue^1")
+    assert code == EXIT_INPUT
+    assert "precision" in err
+
+
 def test_bad_usage_exits_20():
     with pytest.raises(SystemExit) as exc:
         main(["exists", "--catalog", "lebesgue^1"])  # missing --m

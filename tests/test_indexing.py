@@ -9,10 +9,11 @@ from gausscub.indexing import (
     dim_total,
     format_multiindex,
     glex_enumerate,
-    glex_key,
     glex_rank,
     parse_multiindex,
 )
+
+from oracles import glex_key
 
 
 def brute_monomials(n, d_max):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gausscub.cubature import CubatureRule, load_rule, store_rule
 from gausscub.indexing import glex_enumerate
 from gausscub.measures import (
     MeasureSpec,
@@ -11,11 +12,13 @@ from gausscub.measures import (
     MomentSequence,
     NotPositiveDefiniteError,
     catalog_moments,
+    format_text,
     load_moments,
     moment_matrix,
     normalize_probability,
     parse_measure_spec,
     psd_cholesky,
+    read_text,
     store_moments,
 )
 
@@ -23,9 +26,9 @@ from conftest import catalog
 
 
 def test_parse_measure_spec():
-    assert parse_measure_spec("lebesgue^2").weights == ("lebesgue", "lebesgue")
+    assert parse_measure_spec("lebesgue^2") == MeasureSpec("lebesgue", 2)
     assert parse_measure_spec("chebyshev1").n == 1
-    assert parse_measure_spec("symmetrized:0.5").kind == "symmetrized-2d"
+    assert parse_measure_spec("symmetrized:0.5") == MeasureSpec("symmetrized", 2)
     for bad in ("bogus^2", "lebesgue^0", "symmetrized:1.0", ""):
         with pytest.raises(ValueError):
             parse_measure_spec(bad)
@@ -169,6 +172,60 @@ def test_moment_file_validation(tmp_path):
         load_moments(bad)
 
 
+# each file format: a value to store, its writer and reader, and its required header fields
+TEXT_FORMATS = {
+    "moments": (lambda: catalog("lebesgue^2", 2), store_moments, load_moments, ("n", "d_max", "normalized", "scale")),
+    "rule": (
+        lambda: CubatureRule(2, 2, np.array([[-0.5, 0.25], [0.5, 0.0], [0.0, -0.75]]), np.full(3, 4 / 3), scale=4.0),
+        store_rule,
+        load_rule,
+        ("n", "m", "precision", "scale"),
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TEXT_FORMATS))
+def test_text_grammar(tmp_path, fmt):
+    make, store, load, required = TEXT_FORMATS[fmt]
+    path = tmp_path / "file.txt"
+    store(make(), path)
+    lines = path.read_text().splitlines()
+    # blank and comment lines are skipped: the padded file loads to the same bits
+    padded = tmp_path / "padded.txt"
+    padded.write_text("\n".join(["", "# comment", *lines[:2], "   ", "  # indented", *lines[2:], ""]) + "\n")
+    again = tmp_path / "again.txt"
+    store(load(padded), again)
+    assert again.read_text() == path.read_text()
+
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join([*lines[:3], "neither a header nor a record", *lines[3:]]) + "\n")
+    with pytest.raises(MomentFormatError, match=r"line 4\b"):
+        load(bad)
+    for key in required:
+        bad.write_text("\n".join(line for line in lines if not line.startswith(f"{key} =")) + "\n")
+        with pytest.raises(MomentFormatError, match=f"missing header field '{key}'"):
+            load(bad)
+
+
+_TOKEN = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1)
+_PLAIN = st.text(st.characters(min_codepoint=33, max_codepoint=126, exclude_characters=":"), min_size=1)
+
+
+@given(
+    header=st.dictionaries(st.from_regex(r"[A-Za-z0-9_]+", fullmatch=True), _PLAIN),
+    records=st.lists(
+        st.tuples(st.lists(_PLAIN, max_size=3).map(" ".join).filter(lambda s: not s.startswith("#")), _TOKEN)
+    ),
+    sep=st.sampled_from([": ", " : "]),
+)
+def test_format_text_read_text_round_trip(tmp_path_factory, header, records, sep):
+    path = tmp_path_factory.mktemp("text") / "file.txt"
+    path.write_text(format_text(header, records, sep) + "\n")
+    got_header, got_records = read_text(path, tuple(header))
+    assert got_header == header
+    assert [(left, right) for _, left, right in got_records] == records
+
+
 def test_unnormalized_file_then_normalize(tmp_path):
     values = np.array([3.0, 0.0, 1.0])
     seq = MomentSequence(1, 2, values, normalized=False, scale=1.0)
@@ -246,6 +303,8 @@ def test_psd_cholesky_rejects_asymmetric():
 
 def test_measure_spec_validation():
     with pytest.raises(ValueError):
-        MeasureSpec("product-1d", weights=("nope",))
+        MeasureSpec("nope", 1)
     with pytest.raises(ValueError):
-        MeasureSpec("weird")
+        MeasureSpec("lebesgue", 0)
+    with pytest.raises(ValueError):
+        MeasureSpec("symmetrized", 3)
