@@ -5,11 +5,10 @@ from .cubature import (
     DegenerateSpectrumError,
     build_rule,
     commutation_defect,
-    complete_moments,
     extract_nodes,
-    flatness_check,
     load_rule,
     multiplication_operators,
+    rejection,
     store_rule,
     verify_exactness,
 )
@@ -28,7 +27,7 @@ from .measures import (
     psd_cholesky,
     store_moments,
 )
-from .ortho import OrthoBasis, build_orthobasis, eval_P, gram_in_ortho_basis
+from .ortho import OrthoBasis, build_orthobasis, eval_P
 from .qcheck import build_Q, verify_corollary, verify_remark
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,7 +4,8 @@ Subcommands: moments, ortho, exists, cubature, qcheck, verify.
 Exit codes: 0 success / rule exists, 10 no Gaussian cubature (or failed
 verification), 20 input or format error, 30 numerical failure (a moment
 matrix that is not positive definite, a NO residual within the noise floor,
-or a rule that cannot be extracted after a YES).
+a rule that cannot be extracted after a YES, or a built rule that fails
+verify's acceptance).
 """
 
 from __future__ import annotations
@@ -122,16 +123,18 @@ def _cmd_cubature(cfg: argparse.Namespace) -> tuple[int, str]:
     rule = cub.build_rule(
         seq, basis, cfg.m, commutation_tol=cfg.commutation_tol, seed=cfg.seed, box=box
     )
-    z = cub.complete_moments(seq, verdict.u, cfg.m)
-    flat = cub.flatness_check(z, basis, cfg.m)
+    reason = cub.rejection(rule.report, cfg.tol)
+    if reason is not None:
+        raise cub.DegenerateSpectrumError(f"the rule fails verification: {reason}")
+    defect_rank = verdict.defect_rank()
     rep.add("nodes", rule.nodes.shape[0])
     rep.add("precision", rule.precision)
     rep.add("scale", rule.scale)
     rep.add("max_exactness_error", rule.report.max_error)
     rep.add("node_residual", rule.report.node_residual)
     rep.add("min_weight", rule.report.min_weight)
-    rep.add("flat", flat.flat)
-    rep.add("flat_rank", flat.rank)
+    rep.add("flat", defect_rank == 0)
+    rep.add("flat_rank", dim_total(seq.n, cfg.m - 1) + defect_rank)
     if cfg.fmt == "machine":
         for k, (x, w) in enumerate(zip(rule.nodes, rule.weights)):
             rep.add(f"node_{k}", f"{_vec(x)} : {_fmt(w)}")
@@ -155,13 +158,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> tuple[int, str]:
     rep.add("min_weight", report.min_weight)
     rep.add("inside_support", report.inside_support)
     scale_ok = abs(rule.scale - seq.scale) <= 1e-8 * max(1.0, seq.scale)
-    ok = (
-        report.max_error <= cfg.tol
-        and report.node_residual <= cfg.tol
-        and report.min_weight > 0
-        and scale_ok
-        and report.inside_support is not False
-    )
+    ok = scale_ok and cub.rejection(report, cfg.tol) is None
     rep.add("verified", ok)
     return (EXIT_OK if ok else EXIT_NO_CUBATURE), rep.render()
 

@@ -1,11 +1,10 @@
-"""Rule construction: moment completion, node extraction, weights, checks.
+"""Rule construction: node extraction, weights, checks.
 
-Two independent routes are kept side by side.  The flat-extension route
-completes the degree-2m moments from the existence solution v and checks the
-rank collapse of the completed moment matrix.  The multiplication-operator
-route compresses coordinate multiplication to the degree-(m-1) orthonormal
-basis; pairwise commutation of the n operators is the classical existence
-criterion, and their joint eigenvalues are the nodes.
+The existence test, and with it the flat-extension route, is
+`existence.decide`.  Here coordinate multiplication is compressed to the
+degree-(m-1) orthonormal basis; pairwise commutation of the n operators is
+the classical existence criterion, and their joint eigenvalues are the
+nodes.  `rejection` is the one acceptance rule for a rule, built or read.
 """
 
 from __future__ import annotations
@@ -15,19 +14,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.random import default_rng  # numpy loads it lazily: load it on import, not in a request
 
-from .indexing import dim_homog, dim_total, glex_enumerate, pair_ranks
-from .measures import MomentFormatError, MomentSequence, format_text, read_text
-from .ortho import OrthoBasis, eval_monomials, eval_P, gram_in_ortho_basis
+from .indexing import dim_total, glex_enumerate, pair_ranks
+from .measures import MomentFormatError, MomentSequence, format_text, parse_value, read_text
+from .ortho import OrthoBasis, eval_monomials, eval_P
 
 DEFAULT_SEED = 7
-FLAT_TOL = 1e-8  # flatness: block norm and negative eigenvalues, relative to the largest eigenvalue
 MAX_DRAWS = 5  # random operator combinations tried before a collision is final
 WEIGHT_TOL = 1e-10  # smallest accepted probability weight
 
 
 class DegenerateSpectrumError(Exception):
     """No rule could be extracted: the operators do not commute, the joint
-    spectrum kept colliding, or the weights are singular or not positive."""
+    spectrum kept colliding, the weights are singular or not positive, or
+    the rule fails its acceptance."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,14 +36,6 @@ class MultiplicationOperators:
     n: int
     m: int
     matrices: tuple[np.ndarray, ...] = field(repr=False)  # each s_{m-1} x s_{m-1}
-
-
-@dataclass(frozen=True)
-class FlatnessReport:
-    flat: bool
-    rank: int
-    block_norm: float
-    min_eigenvalue: float
 
 
 @dataclass(frozen=True)
@@ -67,39 +58,6 @@ class CubatureRule:
     @property
     def precision(self) -> int:
         return 2 * self.m - 1
-
-
-def complete_moments(y: MomentSequence, v: np.ndarray, m: int) -> MomentSequence:
-    """Extend y to degree 2m: the degree-2m moments shift by v, lower degrees are copied.
-
-    v is the existence solution: the shift that makes the completion flat.
-    """
-    r2m = dim_homog(y.n, 2 * m)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (r2m,):
-        raise ValueError(f"v must have length r_2m = {r2m}")
-    z = y.truncate(2 * m).array.copy()
-    z[dim_total(y.n, 2 * m - 1) :] += v
-    return MomentSequence(y.n, 2 * m, z, normalized=y.normalized, scale=y.scale)
-
-
-def flatness_check(z: MomentSequence, basis: OrthoBasis, m: int) -> FlatnessReport:
-    """Check the rank collapse that certifies an atomic representing measure.
-
-    The completed moment matrix, in the orthonormal basis, must be (near)
-    positive semidefinite with a vanishing degree-m diagonal block; its
-    numerical rank is then s_{m-1}.
-    """
-    g = gram_in_ortho_basis(z, basis, m)
-    s1 = dim_total(z.n, m - 1)
-    block = g[s1:, s1:]
-    block_norm = float(np.abs(block).max()) if block.size else 0.0
-    eigs = np.linalg.eigvalsh(g)
-    min_eig = float(eigs.min())
-    scale = max(1.0, float(eigs.max()))
-    rank = int(np.sum(eigs > FLAT_TOL * scale))
-    flat = block_norm <= FLAT_TOL * scale and min_eig >= -FLAT_TOL * scale
-    return FlatnessReport(flat, rank, block_norm, min_eig)
 
 
 def multiplication_operators(y: MomentSequence, basis: OrthoBasis, m: int) -> MultiplicationOperators:
@@ -214,6 +172,21 @@ def verify_exactness(
     return ExactnessReport(max_err, node_res, float(rule.weights.min()), inside)
 
 
+def rejection(report: ExactnessReport, tol: float) -> str | None:
+    """Why a rule fails acceptance at tol, or None: the scaled exactness error
+    and the node residual are at most tol, every weight is positive, and no
+    node lies outside a declared support."""
+    if not report.max_error <= tol:
+        return f"max exactness error {report.max_error:.3e} above tol {tol:.1e}"
+    if not report.node_residual <= tol:
+        return f"node residual {report.node_residual:.3e} above tol {tol:.1e}"
+    if not report.min_weight > 0:
+        return f"non-positive weight {report.min_weight:.3e}"
+    if report.inside_support is False:
+        return "a node lies outside the support"
+    return None
+
+
 def build_rule(
     y: MomentSequence,
     basis: OrthoBasis,
@@ -232,8 +205,8 @@ def build_rule(
 
 # ---------------------------------------------------------------------------
 # Rule file format, in the grammar of `measures.read_text`: a header, one
-# `x1 ... xn : weight` record per node in hex-float precision, and a trailing
-# verification block in comments.
+# `x1 ... xn : weight` record per node, written in hex-float (decimal values
+# read too), and a trailing verification block in comments.
 
 
 def store_rule(rule: CubatureRule, path) -> None:
@@ -258,7 +231,7 @@ def load_rule(path) -> CubatureRule:
         n = int(header["n"])
         m = int(header["m"])
         precision = int(header["precision"])
-        scale = float.fromhex(header["scale"])
+        scale = parse_value(header["scale"])
     except ValueError:
         raise MomentFormatError("malformed rule header")
     if precision != 2 * m - 1:
@@ -269,9 +242,9 @@ def load_rule(path) -> CubatureRule:
     nodes, weights = [], []
     for lineno, left, right in records:
         try:
-            nodes.append([float.fromhex(tok) for tok in left.split()])
-            weights.append(float.fromhex(right))
-        except ValueError:
+            nodes.append([parse_value(tok) for tok in left.split()])
+            weights.append(parse_value(right))
+        except MomentFormatError:
             raise MomentFormatError(f"line {lineno}: bad rule record {left} : {right}")
         if len(nodes[-1]) != n:
             raise MomentFormatError(f"line {lineno}: node dimension mismatch in rule file")

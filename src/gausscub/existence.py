@@ -38,6 +38,13 @@ class Verdict:
     rank: int  # numerical rank of C - B^T A^-1 B, 0 for flat data
     tol: float
     noise_floor: float
+    defect: np.ndarray = field(repr=False)  # R^ minus its class means, r_m x r_m
+    rounding: float  # eps cond(L^)^2 ||C^||: the absolute level rounding reaches
+
+    def defect_rank(self) -> int:
+        """Numerical rank of the defect at the rounding level; 0 for a flat completion,
+        whose moment matrix M_m then has rank s_{m-1}."""
+        return int(np.linalg.matrix_rank(self.defect, tol=self.rounding))
 
 
 def decide(y: MomentSequence, m: int, tol: float = 1e-8) -> Verdict:
@@ -69,7 +76,8 @@ def decide(y: MomentSequence, m: int, tol: float = 1e-8) -> Verdict:
     cls = (pair_ranks(y.n, m)[s1:, s1:] - dim_total(y.n, 2 * m - 1)).ravel()
     dc = np.outer(d[s1:], d[s1:]).ravel()
     v = np.bincount(cls, rh.ravel() * dc) / np.bincount(cls)
-    residual = float(np.linalg.norm(rh.ravel() - v[cls] / dc))
+    defect = rh.ravel() - v[cls] / dc
+    residual = float(np.linalg.norm(defect))
     rnorm = float(np.linalg.norm(rh))
     rounding = np.finfo(float).eps * np.linalg.cond(low) ** 2 * float(np.linalg.norm(ch))
     # an exactly vanishing R^ has an exactly vanishing residual
@@ -88,4 +96,6 @@ def decide(y: MomentSequence, m: int, tol: float = 1e-8) -> Verdict:
         rank=int(np.linalg.matrix_rank(rh, tol=rounding)),
         tol=tol,
         noise_floor=float(noise_floor),
+        defect=defect.reshape(rh.shape),
+        rounding=float(rounding),
     )

@@ -248,7 +248,7 @@ def format_text(header: dict, records, sep: str) -> str:
     return "\n".join(lines)
 
 
-def _parse_value(text: str) -> float:
+def parse_value(text: str) -> float:
     try:
         if text.lower().lstrip("+-").startswith("0x"):
             return float.fromhex(text)
@@ -280,7 +280,7 @@ def load_moments(path) -> MomentSequence:
     if header["normalized"] not in ("true", "false"):
         raise MomentFormatError("normalized must be true or false")
     normalized = header["normalized"] == "true"
-    scale = _parse_value(header["scale"])
+    scale = parse_value(header["scale"])
     records: dict[MultiIndex, float] = {}
     for lineno, left, right in lines:
         if (index := _INDEX_RE.fullmatch(left)) is None:
@@ -293,13 +293,14 @@ def load_moments(path) -> MomentSequence:
             raise MomentFormatError(f"line {lineno}: duplicate multi-index {alpha}")
         if sum(alpha) > d_max:
             raise MomentFormatError(f"line {lineno}: multi-index {alpha} exceeds declared d_max={d_max}")
-        records[alpha] = _parse_value(right)
+        records[alpha] = parse_value(right)
         if not math.isfinite(records[alpha]):
             raise MomentFormatError(f"line {lineno}: non-finite value for {alpha}")
-    try:
-        array = np.array([records[a] for a in glex_enumerate(n, d_max).indices])
-    except KeyError as e:
-        raise MomentFormatError(f"incomplete moment file: missing {format_multiindex(e.args[0])}")
+    # the records are distinct and of degree <= d_max: complete iff there are s_(d_max)
+    expected = dim_total(n, d_max)
+    if len(records) != expected:
+        raise MomentFormatError(f"incomplete moment file: missing {expected - len(records)} of {expected} moments")
+    array = np.array([records[a] for a in glex_enumerate(n, d_max).indices])
     if normalized and array[0] != 1.0:
         raise MomentFormatError("file declares normalized = true but y_0 != 1")
     try:

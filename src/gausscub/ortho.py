@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indexing import GlexTable, MultiIndex, dim_total, glex_enumerate
+from .indexing import GlexTable, MultiIndex, glex_enumerate
 from .measures import MomentSequence, moment_matrix, psd_cholesky
 
 
@@ -56,13 +56,3 @@ def eval_P(basis: OrthoBasis, m: int, points) -> np.ndarray:
     if m > basis.d:
         raise ValueError(f"basis built to degree {basis.d}, requested block {m}")
     return eval_monomials(basis.table, points) @ basis.coeffs[basis.block(m)].T
-
-
-def gram_in_ortho_basis(z: MomentSequence, basis: OrthoBasis, d: int) -> np.ndarray:
-    """S_d M_d(z) S_d^T: moment matrix of z in the orthonormal basis of y."""
-    if d > basis.d:
-        raise ValueError(f"basis built to degree {basis.d}, requested degree {d}")
-    sd = dim_total(z.n, d)
-    s = basis.coeffs[:sd, :sd]
-    g = s @ moment_matrix(z, d) @ s.T
-    return 0.5 * (g + g.T)

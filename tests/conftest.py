@@ -9,6 +9,12 @@ from gausscub.measures import MomentSequence, catalog_moments, normalize_probabi
 from gausscub.ortho import build_orthobasis
 
 
+# Measures with a Gaussian rule at every level m: the four 1-D weights to m = 20
+# and the symmetrized measure to m = 10, past where building each rule breaks down
+GAUSSIAN_GRID = [(f"{w}^1", m) for w in ("lebesgue", "chebyshev1", "chebyshev2", "hermite") for m in range(2, 21)]
+GAUSSIAN_GRID += [("symmetrized:0.5", m) for m in range(2, 11)]
+
+
 @lru_cache(maxsize=None)
 def catalog(spec_text: str, d_max: int):
     return catalog_moments(parse_measure_spec(spec_text), d_max)

