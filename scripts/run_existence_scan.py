@@ -3,11 +3,12 @@
 
 For each (measure, m) pair this prints the relative Hankel defect of the
 existence test, the commutation defect of the multiplication operators, and
-whether the two criteria agree, then builds the rule of each YES.  Each level
-m reads moments to degree 2m only.  A numerical breakdown (a moment matrix
-that is not positive definite, a NO defect within the noise floor, or a rule
-that cannot be extracted after a YES) is printed as a `numerical failure` row
-for that pair, and the scan goes on.
+whether the two criteria agree, then builds the rule of each YES at the same
+--tol that `cubature` uses.  Each level m reads moments to degree 2m only.
+A numerical breakdown (a moment matrix that is not positive definite, a NO
+defect within the noise floor, or a rule that cannot be built after a YES or
+fails acceptance) is printed as a `numerical failure` row for that pair, and
+the scan goes on.
 """
 
 import argparse
@@ -57,7 +58,7 @@ def scan(measures, m_max, tol):
                     tag += "  (ORACLES DISAGREE)"
                 print(f"{row} {verdict.relative_residual:>12.3e} {defect:>10.2e}  {tag}")
                 if verdict.exists:
-                    rule = build_rule(y, basis, m)
+                    rule = build_rule(y, basis, m, tol=tol)
                     print(
                         f"{'':>16}    -> {rule.nodes.shape[0]} nodes,"
                         f" exactness error {rule.report.max_error:.2e},"

@@ -2,10 +2,10 @@
 
 Subcommands: moments, ortho, exists, cubature, qcheck, verify.
 Exit codes: 0 success / rule exists, 10 no Gaussian cubature (or failed
-verification), 20 input or format error, 30 numerical failure (a moment
-matrix that is not positive definite, a NO residual within the noise floor,
-a rule that cannot be extracted after a YES, or a built rule that fails
-verify's acceptance).
+verification), 20 input or format error (a size that overflows included),
+30 numerical failure (a moment matrix that is not positive definite, a NO
+residual within the noise floor, or a rule that cannot be built after a
+YES or fails verify's acceptance at --tol).
 """
 
 from __future__ import annotations
@@ -120,12 +120,7 @@ def _cmd_cubature(cfg: argparse.Namespace) -> tuple[int, str]:
     if not verdict.exists:
         return EXIT_NO_CUBATURE, rep.render()
     basis = ortho.build_orthobasis(seq, cfg.m)
-    rule = cub.build_rule(
-        seq, basis, cfg.m, commutation_tol=cfg.commutation_tol, seed=cfg.seed, box=box
-    )
-    reason = cub.rejection(rule.report, cfg.tol)
-    if reason is not None:
-        raise cub.DegenerateSpectrumError(f"the rule fails verification: {reason}")
+    rule = cub.build_rule(seq, basis, cfg.m, tol=cfg.tol, seed=cfg.seed, box=box)
     defect_rank = verdict.defect_rank()
     rep.add("nodes", rule.nodes.shape[0])
     rep.add("precision", rule.precision)
@@ -203,9 +198,7 @@ def _cmd_qcheck(cfg: argparse.Namespace) -> tuple[int, str]:
     basis = ortho.build_orthobasis(seq, 2 * cfg.m)
     q = qcheck.build_Q(basis, verdict.u)
     dev = qcheck.verify_corollary(seq, basis, q)
-    rule = cub.build_rule(
-        seq, basis, cfg.m, commutation_tol=cfg.commutation_tol, seed=cfg.seed, box=box
-    )
+    rule = cub.build_rule(seq, basis, cfg.m, tol=cfg.tol, seed=cfg.seed, box=box)
     remark = qcheck.verify_remark(seq, basis, q, rule)
     rep.add("corollary_deviation", dev)
     rep.add("remark_u_from_rule", remark.u_from_rule)
@@ -242,7 +235,6 @@ def build_parser() -> _Parser:
         p.add_argument("--m", type=_level, required=True, help="half-degree (precision 2m-1)")
         p.add_argument("--tol", type=_tolerance, default=1e-8)
         if name != "exists":  # the commands that build a rule
-            p.add_argument("--commutation-tol", dest="commutation_tol", type=_tolerance, default=1e-8)
             p.add_argument("--seed", type=int, default=cub.DEFAULT_SEED)
         if name == "cubature":
             p.add_argument("--out", help="rule file to write")
@@ -257,7 +249,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, text = args.run(args)
-    except (measures.MomentFormatError, ValueError, OSError) as e:
+    except (measures.MomentFormatError, ValueError, OSError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (measures.NotPositiveDefiniteError, cub.DegenerateSpectrumError, existence.NoiseFloorError) as e:

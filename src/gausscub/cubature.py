@@ -20,13 +20,12 @@ from .ortho import OrthoBasis, eval_monomials, eval_P
 
 DEFAULT_SEED = 7
 MAX_DRAWS = 5  # random operator combinations tried before a collision is final
-WEIGHT_TOL = 1e-10  # smallest accepted probability weight
 
 
 class DegenerateSpectrumError(Exception):
     """No rule could be extracted: the operators do not commute, the joint
-    spectrum kept colliding, the weights are singular or not positive, or
-    the rule fails its acceptance."""
+    spectrum kept colliding, the weights are singular, or the built rule
+    fails acceptance (`rejection`), positivity of the weights included."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +126,8 @@ def compute_weights(y: MomentSequence, basis: OrthoBasis, nodes: np.ndarray) -> 
     """Solve the square interpolation system for the weights, rescale by mass.
 
     In the orthonormal basis the right-hand side is the first unit vector
-    (the rule must reproduce L_y(P_alpha) = delta_{alpha=0}); every weight
-    must be strictly positive for a Gaussian rule.
+    (the rule must reproduce L_y(P_alpha) = delta_{alpha=0}).  Positivity
+    is judged by `rejection`.
     """
     s1 = len(nodes)
     vand = basis.coeffs[:s1, :s1] @ eval_monomials(basis.table, nodes)[:, :s1].T  # P_alpha(node k)
@@ -138,8 +137,6 @@ def compute_weights(y: MomentSequence, basis: OrthoBasis, nodes: np.ndarray) -> 
         gamma = np.linalg.solve(vand, rhs)
     except np.linalg.LinAlgError:
         raise DegenerateSpectrumError("singular interpolation matrix: nodes are not distinct")
-    if gamma.min() <= WEIGHT_TOL:
-        raise DegenerateSpectrumError(f"non-positive weight {gamma.min():.3e}")
     return gamma * y.scale
 
 
@@ -191,16 +188,21 @@ def build_rule(
     y: MomentSequence,
     basis: OrthoBasis,
     m: int,
-    commutation_tol: float = 1e-8,
+    tol: float = 1e-8,
     seed: int = DEFAULT_SEED,
     box: tuple[float, float] | None = None,
 ) -> CubatureRule:
-    """Nodes + weights + verification for a measure passing the existence test."""
+    """The rule of a measure passing the existence test, gated at tol: the
+    operators commute to tol and `rejection` accepts the rule at tol."""
     ops = multiplication_operators(y, basis, m)
-    nodes = extract_nodes(ops, tol=commutation_tol, seed=seed)
+    nodes = extract_nodes(ops, tol=tol, seed=seed)
     weights = compute_weights(y, basis, nodes)
     rule = CubatureRule(y.n, m, nodes, weights, scale=y.scale)
-    return replace(rule, report=verify_exactness(rule, y, basis, box=box))
+    rule = replace(rule, report=verify_exactness(rule, y, basis, box=box))
+    reason = rejection(rule.report, tol)
+    if reason is not None:
+        raise DegenerateSpectrumError(f"the rule fails verification: {reason}")
+    return rule
 
 
 # ---------------------------------------------------------------------------

@@ -67,11 +67,11 @@ def test_exists_symmetrized_reach_ends_in_exit_30_not_a_wrong_no(capsys):
         assert code == EXIT_OK, (m, err)
 
 
-@pytest.mark.parametrize("m, extra", [(7, ["--commutation-tol", "1e-12"]), (8, []), (9, [])])
-def test_rule_breakdown_after_a_yes_exits_30(capsys, m, extra):
-    # the existence test says YES, but the operators commute only to 1e-9
-    # (m = 7) or 1.9e-7 and 4.4e-6 (m = 8, 9): no rule, and no NO either
-    code, _, err = run_cli(capsys, "cubature", "--catalog", "symmetrized:0.5", "--m", str(m), *extra)
+@pytest.mark.parametrize("m", [8, 9])
+def test_rule_breakdown_after_a_yes_exits_30(capsys, m):
+    # the existence test says YES, but the operators commute only to 1.9e-7
+    # and 4.4e-6: no rule, and no NO either
+    code, _, err = run_cli(capsys, "cubature", "--catalog", "symmetrized:0.5", "--m", str(m))
     assert code == EXIT_NUMERICAL, (code, err)
     assert "commute" in err
 
@@ -171,6 +171,22 @@ def test_cubature_exits_30_on_a_rule_verify_rejects(capsys):
     assert code == EXIT_NUMERICAL
     assert out == ""
     assert "fails verification: node residual" in err
+
+
+def test_qcheck_exits_30_on_a_rule_verify_rejects(capsys):
+    # qcheck builds its rule through the same gate as cubature: node residual 1.1e-6
+    code, out, err = run_cli(capsys, "qcheck", "--catalog", "hermite^1", "--m", "15")
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert "fails verification" in err
+
+
+def test_smallest_gauss_hermite_weight_is_not_the_reason(capsys):
+    # the smallest probability weight, 2.6e-11, is numpy's hermgauss(17) weight
+    # too; the rule fails on its node residual
+    code, _, err = run_cli(capsys, "cubature", "--catalog", "hermite^1", "--m", "17")
+    assert code == EXIT_NUMERICAL
+    assert "node residual" in err and "non-positive weight" not in err
 
 
 def test_cubature_flat_keys_come_from_the_verdict(capsys):
@@ -288,6 +304,8 @@ def test_qcheck_machine_keys(capsys):
         ["exists", "--catalog", "lebesgue^1", "--m", "2", "--commutation-tol", "1e-3"],
         # the certificate has one sign convention, Q = -u^T P_2m
         ["qcheck", "--catalog", "lebesgue^1", "--m", "3", "--sign", "1"],
+        # one --tol gates the commutation and the acceptance of a built rule
+        ["cubature", "--catalog", "lebesgue^1", "--m", "2", "--commutation-tol", "1e-8"],
     ],
 )
 def test_options_a_command_does_not_read_exit_20(argv):
@@ -373,11 +391,32 @@ def test_numerical_failure_exit_30(capsys, tmp_path):
         ["exists", "--catalog", "lebesgue^2", "--m", "2", "--tol", "inf"],
         ["exists", "--catalog", "lebesgue^2", "--m", "2", "--tol", "0"],
         ["exists", "--catalog", "lebesgue^2", "--m", "0"],
-        ["cubature", "--catalog", "lebesgue^1", "--m", "2", "--commutation-tol", "nan"],
+        ["cubature", "--catalog", "lebesgue^1", "--m", "2", "--tol", "nan"],
     ],
 )
 def test_out_of_range_level_or_tolerance_exits_20(argv):
     assert exit_code(argv) == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exists", "--moments", "{huge_moments}", "--m", "2"],
+        ["verify", "--rule", "{huge_rule}", "--catalog", "chebyshev2^1"],
+        ["exists", "--catalog", "lebesgue^1", "--m", "100000000000000000000"],
+        ["moments", "--catalog", "hermite^1", "--d-max", "400"],
+        ["exists", "--catalog", "hermite^1", "--m", "200"],
+    ],
+)
+def test_sizes_that_overflow_exit_20(capsys, tmp_path, argv):
+    # sizes past 64 bits or past the float range are input errors, not tracebacks
+    huge = 10**23
+    paths = {"huge_moments": tmp_path / "m.txt", "huge_rule": tmp_path / "r.txt"}
+    paths["huge_moments"].write_text(f'n = 1\nd_max = {huge}\nnormalized = true\nscale = 1\n"0": 1\n')
+    paths["huge_rule"].write_text(f"n = 1\nm = {huge}\nprecision = {2 * huge - 1}\nscale = 1\n0 : 1\n")
+    code, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ")
 
 
 def test_verify_rejects_infinite_tol_on_a_tampered_rule(capsys, tmp_path):

@@ -5,21 +5,23 @@ import pytest
 
 from gausscub.cubature import (
     DegenerateSpectrumError,
+    ExactnessReport,
     build_rule,
     commutation_defect,
     compute_weights,
     extract_nodes,
     load_rule,
     multiplication_operators,
+    rejection,
     store_rule,
     verify_exactness,
 )
 from gausscub.existence import decide
 from gausscub.indexing import dim_total, glex_enumerate
-from gausscub.measures import MomentFormatError, moment_matrix
+from gausscub.measures import MomentFormatError, NotPositiveDefiniteError, moment_matrix
 from gausscub.ortho import build_orthobasis
 
-from conftest import catalog
+from conftest import GAUSSIAN_GRID, basis_for, catalog
 from golub_welsch import gauss_rule
 from oracles import flat_completion
 
@@ -202,6 +204,29 @@ def test_verify_exactness_gauss_rule():
     assert rule.report.node_residual <= 1e-8
     assert rule.report.inside_support is True
     assert rule.weights.sum() == pytest.approx(y.scale)
+
+
+def test_build_rule_returns_only_accepted_rules():
+    # the degree-m basis of cubature and the degree-2m basis of qcheck
+    refused = []
+    for spec_text, m in GAUSSIAN_GRID:
+        for d in (m, 2 * m):
+            try:
+                basis = basis_for(spec_text, d)
+            except NotPositiveDefiniteError:
+                continue  # no basis, so no rule is built
+            try:
+                rule = build_rule(catalog(spec_text, 2 * d), basis, m)
+            except DegenerateSpectrumError:
+                refused.append((spec_text, m, d))
+                continue
+            assert rejection(rule.report, 1e-8) is None, (spec_text, m, d)
+    assert ("hermite^1", 15, 15) in refused and ("hermite^1", 15, 30) in refused
+
+
+def test_rejection_names_a_non_positive_weight():
+    for w in (0.0, -1e-3):
+        assert "non-positive weight" in rejection(ExactnessReport(1e-12, 1e-12, w, None), 1e-8)
 
 
 def test_1d_pipeline_matches_golub_welsch():
