@@ -58,7 +58,7 @@ def scan(measures, m_max, tol):
                     tag += "  (ORACLES DISAGREE)"
                 print(f"{row} {verdict.relative_residual:>12.3e} {defect:>10.2e}  {tag}")
                 if verdict.exists:
-                    rule = build_rule(y, basis, m, tol=tol)
+                    rule = build_rule(y, m, tol=tol)
                     print(
                         f"{'':>16}    -> {rule.nodes.shape[0]} nodes,"
                         f" exactness error {rule.report.max_error:.2e},"

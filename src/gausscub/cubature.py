@@ -16,7 +16,7 @@ from numpy.random import default_rng  # numpy loads it lazily: load it on import
 
 from .indexing import dim_total, glex_enumerate, pair_ranks
 from .measures import MomentFormatError, MomentSequence, format_text, parse_value, read_text
-from .ortho import OrthoBasis, eval_monomials, eval_P
+from .ortho import OrthoBasis, build_orthobasis, eval_monomials, eval_P
 
 DEFAULT_SEED = 7
 MAX_DRAWS = 5  # random operator combinations tried before a collision is final
@@ -186,14 +186,14 @@ def rejection(report: ExactnessReport, tol: float) -> str | None:
 
 def build_rule(
     y: MomentSequence,
-    basis: OrthoBasis,
     m: int,
     tol: float = 1e-8,
     seed: int = DEFAULT_SEED,
     box: tuple[float, float] | None = None,
 ) -> CubatureRule:
-    """The rule of a measure passing the existence test, gated at tol: the
-    operators commute to tol and `rejection` accepts the rule at tol."""
+    """The rule of a measure passing the existence test, in its degree-m basis
+    (moments to 2m), gated at tol: the operators commute and `rejection` accepts."""
+    basis = build_orthobasis(y, m)
     ops = multiplication_operators(y, basis, m)
     nodes = extract_nodes(ops, tol=tol, seed=seed)
     weights = compute_weights(y, basis, nodes)

@@ -58,14 +58,14 @@ def test_criterion_1_one_dimensional_equivalence():
             y, basis, verdict = _solve(tag, m)
             assert verdict.exists, (tag, m)
             assert verdict.relative_residual <= 1e-10, (tag, m)
-            rule = build_rule(y, basis, m)
+            rule = build_rule(y, m)
             nodes, weights = gauss_rule(tag, m)
             order = np.argsort(rule.nodes.ravel())
             assert np.abs(rule.nodes.ravel()[order] - nodes).max() <= 1e-8, (tag, m)
             assert np.abs(rule.weights[order] / rule.scale - weights).max() <= 1e-8, (tag, m)
     # the frozen probability-Lebesgue m=3 values
     y, basis, _ = _solve("lebesgue", 3)
-    rule = build_rule(y, basis, 3)
+    rule = build_rule(y, 3)
     assert np.abs(
         np.sort(rule.nodes.ravel()) - [-math.sqrt(0.6), 0.0, math.sqrt(0.6)]
     ).max() <= 1e-12
@@ -106,7 +106,7 @@ def test_criterion_4_positive_cases():
         assert verdict.exists, m
         defect = commutation_defect(multiplication_operators(y, basis, m))
         assert defect <= 1e-8, m
-        rule = build_rule(y, basis, m)
+        rule = build_rule(y, m)
         assert rule.nodes.shape == (dim_total(2, m - 1), 2)
         assert rule.weights.min() > 0
         table = glex_enumerate(2, 2 * m - 1)
@@ -124,10 +124,10 @@ def test_criterion_5_certificate_identities():
     for spec_text, m in yes_instances:
         y, basis, verdict = _solve(spec_text, m)
         assert verdict.exists
-        q = build_Q(basis, verdict.u)
-        assert verify_corollary(y, basis, q) <= 1e-8, (spec_text, m)
-        rule = build_rule(y, basis, m)
-        remark = verify_remark(y, basis, q, rule)
+        q = build_Q(y, basis, verdict.u)
+        assert verify_corollary(basis, q) <= 1e-8, (spec_text, m)
+        rule = build_rule(y, m)
+        remark = verify_remark(basis, q, rule)
         assert remark.u_from_rule <= 1e-8, (spec_text, m)
         assert remark.low_degree <= 1e-8, (spec_text, m)
         assert remark.mean <= 1e-8, (spec_text, m)
@@ -187,7 +187,7 @@ def test_criterion_7_flatness_path():
         # flat = True and flat_rank = s_{m-1}: the defect has no rank above rounding
         assert verdict.defect_rank() == 0, (spec_text, m)
         z = flat_completion(y, verdict.u, m)
-        rule = build_rule(y, basis, m)
+        rule = build_rule(y, m)
         w_prob = rule.weights / rule.scale
         for alpha in glex_enumerate(y.n, 2 * m).indices:
             atom = float(

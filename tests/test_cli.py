@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -174,11 +175,32 @@ def test_cubature_exits_30_on_a_rule_verify_rejects(capsys):
 
 
 def test_qcheck_exits_30_on_a_rule_verify_rejects(capsys):
-    # qcheck builds its rule through the same gate as cubature: node residual 1.1e-6
+    # qcheck builds cubature's rule through the same gate: node residual 2.2e-8
     code, out, err = run_cli(capsys, "qcheck", "--catalog", "hermite^1", "--m", "15")
     assert code == EXIT_NUMERICAL
     assert out == ""
     assert "fails verification" in err
+
+
+def test_qcheck_certifies_the_rule_cubature_writes(capsys):
+    # built in the degree-m basis, as cubature builds it: node residual below 1e-8,
+    # where the low rows of the degree-2m basis gave 1.0e-7
+    code, out, err = run_cli(capsys, "qcheck", "--catalog", "hermite^1", "--m", "14")
+    assert code == EXIT_OK, err
+    assert "corollary" in out
+
+
+def test_qcheck_refuses_a_rule_only_where_cubature_does(capsys):
+    # qcheck refuses a rule with cubature's own reason; its other exits of 30 come
+    # from the degree-2m basis of Q, whose moment matrix stops being positive definite
+    for spec, m in GAUSSIAN_GRID:
+        argv = ("--catalog", spec, "--m", str(m))
+        cub_code, _, cub_err = run_cli(capsys, "cubature", *argv)
+        code, _, err = run_cli(capsys, "qcheck", *argv)
+        if "fails verification" in err:
+            assert cub_code == EXIT_NUMERICAL and err == cub_err, (spec, m)
+        elif code == EXIT_NUMERICAL:
+            assert "not positive definite at pivot" in err, (spec, m)
 
 
 def test_smallest_gauss_hermite_weight_is_not_the_reason(capsys):
@@ -274,6 +296,19 @@ def test_ortho_subcommand(capsys):
     code, out, _ = run_cli(capsys, "ortho", "--catalog", "lebesgue^2", "--sigma", "1,1")
     assert code == EXIT_OK
     assert "3*x1*x2" in out
+
+
+def test_ortho_sigma_of_another_dimension_names_both(capsys, tmp_path):
+    path = str(tmp_path / "m.txt")
+    run_cli(capsys, "moments", "--catalog", "lebesgue^3", "--d-max", "4", "--out", path)
+    for source, sigma, expected in (
+        (("--catalog", "lebesgue^2"), "1", "has dimension 1, the measure 2"),
+        (("--catalog", "lebesgue^3"), "1,1", "has dimension 2, the measure 3"),
+        (("--moments", path), "1,1", "has dimension 2, the measure 3"),
+    ):
+        code, _, err = run_cli(capsys, "ortho", *source, "--sigma", sigma)
+        assert code == EXIT_INPUT
+        assert expected in err, (source, sigma)
 
 
 def test_qcheck_subcommand(capsys):
@@ -417,6 +452,20 @@ def test_sizes_that_overflow_exit_20(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == EXIT_INPUT
     assert err.startswith("error: ")
+
+
+def test_verify_says_why_it_rejects(capsys, tmp_path):
+    rule_path = tmp_path / "rule.txt"
+    run_cli(capsys, "cubature", "--catalog", "chebyshev2^1", "--m", "3", "--out", str(rule_path))
+    # a rule checked against another measure
+    code, out, err = run_cli(capsys, "verify", "--rule", str(rule_path), "--catalog", "lebesgue^1", "--format", "machine")
+    assert code == EXIT_NO_CUBATURE and "verified = False" in out
+    assert err.startswith("the rule fails verification: max exactness error ")
+    # an edited scale header; the rule is otherwise the measure's
+    rule_path.write_text(re.sub(r"(?m)^scale = \S+$", "scale = 0x1.0p+1", rule_path.read_text()))
+    code, out, err = run_cli(capsys, "verify", "--rule", str(rule_path), "--catalog", "chebyshev2^1", "--format", "machine")
+    assert code == EXIT_NO_CUBATURE and "verified = False" in out
+    assert err == f"the rule fails verification: scale 2.0 differs from the measure's {math.pi / 2!r}\n"
 
 
 def test_verify_rejects_infinite_tol_on_a_tampered_rule(capsys, tmp_path):

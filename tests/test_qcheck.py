@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,43 +26,42 @@ def _yes_instance(spec_text, m):
 
 def test_build_Q_zero():
     y, basis, _ = _yes_instance("lebesgue", 1)
-    q = build_Q(basis, np.zeros(1))
+    q = build_Q(y, basis, np.zeros(1))
     assert np.allclose(q.coeffs, 0.0)
 
 
 def test_build_Q_1d_m1():
     # u = -sqrt(5)/2 gives Q = -u P_2 = (5/4)(3x^2 - 1)
     y, basis, verdict = _yes_instance("lebesgue", 1)
-    q = build_Q(basis, verdict.u)
+    q = build_Q(y, basis, verdict.u)
     assert q.coeffs == pytest.approx([-1.25, 0.0, 3.75], abs=1e-12)
 
 
 def test_build_Q_validation():
-    _, basis, _ = _yes_instance("lebesgue", 1)
+    y, basis, _ = _yes_instance("lebesgue", 1)
     with pytest.raises(ValueError):
-        build_Q(basis, np.zeros(2))
+        build_Q(y, basis, np.zeros(2))
 
 
 def test_corollary_identity_1d():
     y, basis, verdict = _yes_instance("lebesgue", 1)
-    q = build_Q(basis, verdict.u)
+    q = build_Q(y, basis, verdict.u)
     # oracle: integral(3x^2 * (5/4)(3x^2-1)) with y2=1/3, y4=1/5 equals 1
     assert (15 / 4) * (3 / 5) - (15 / 4) * (1 / 3) == pytest.approx(1.0)
-    assert verify_corollary(y, basis, q) <= 1e-12
+    assert verify_corollary(basis, q) <= 1e-12
 
 
 def test_corollary_zero_polynomial_deviates_by_one():
     y, basis, _ = _yes_instance("lebesgue", 1)
-    q = build_Q(basis, np.zeros(1))
-    assert verify_corollary(y, basis, q) == pytest.approx(1.0)
+    q = build_Q(y, basis, np.zeros(1))
+    assert verify_corollary(basis, q) == pytest.approx(1.0)
 
 
 def test_positive_sign_convention_deviates_by_two():
     # with the literal +u convention the pairing returns -I instead of I
     y, basis, verdict = _yes_instance("lebesgue", 1)
-    q = build_Q(basis, verdict.u)
-    q_plus = replace(q, coeffs=-q.coeffs)
-    assert verify_corollary(y, basis, q_plus) == pytest.approx(2.0)
+    q_plus = build_Q(y, basis, -verdict.u)
+    assert verify_corollary(basis, q_plus) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize(
@@ -72,10 +70,10 @@ def test_positive_sign_convention_deviates_by_two():
 )
 def test_yes_instances_pass_corollary_and_remark(spec_text, m):
     y, basis, verdict = _yes_instance(spec_text, m)
-    q = build_Q(basis, verdict.u)
-    assert verify_corollary(y, basis, q) <= 1e-8
-    rule = build_rule(y, basis, m)
-    remark = verify_remark(y, basis, q, rule)
+    q = build_Q(y, basis, verdict.u)
+    assert verify_corollary(basis, q) <= 1e-8
+    rule = build_rule(y, m)
+    remark = verify_remark(basis, q, rule)
     assert remark.u_from_rule <= 1e-8
     assert remark.low_degree <= 1e-8
     assert remark.top_degree <= 1e-8
@@ -84,10 +82,10 @@ def test_yes_instances_pass_corollary_and_remark(spec_text, m):
 
 def test_remark_1d_m1_single_node():
     y, basis, verdict = _yes_instance("lebesgue", 1)
-    rule = build_rule(y, basis, 1)
+    rule = build_rule(y, 1)
     # single node at 0, probability weight 1: u = P2(0) = -sqrt(5)/2
-    q = build_Q(basis, verdict.u)
-    remark = verify_remark(y, basis, q, rule)
+    q = build_Q(y, basis, verdict.u)
+    remark = verify_remark(basis, q, rule)
     assert remark.u_from_rule <= 1e-12
     assert q.u[0] == pytest.approx(-SQ5 / 2)
 
@@ -98,13 +96,13 @@ def test_corollary_equivalent_to_residual():
     # when u is perturbed
     y, basis, verdict = _yes_instance("symmetrized:0.5", 2)
     a0, a2m = leading_form_system(y, 2)
-    q = build_Q(basis, verdict.u)
-    dev = verify_corollary(y, basis, q)
+    q = build_Q(y, basis, verdict.u)
+    dev = verify_corollary(basis, q)
     res = np.abs(a0 + a2m @ verdict.u).max()
     assert dev <= 1e-8 and res <= 1e-8
     u_bad = verdict.u + 0.05
-    q_bad = build_Q(basis, u_bad)
-    dev_bad = verify_corollary(y, basis, q_bad)
+    q_bad = build_Q(y, basis, u_bad)
+    dev_bad = verify_corollary(basis, q_bad)
     res_bad = np.abs(a0 + a2m @ u_bad).max()
     assert dev_bad > 1e-3 and res_bad > 1e-3
     assert dev_bad == pytest.approx(res_bad, rel=1e-6)
@@ -118,8 +116,8 @@ def test_remark_top_degree_matches_exact_evaluation():
     # the certificate's, not rounding noise of the check
     m = 8
     y, basis, verdict = _yes_instance("chebyshev1", m)
-    q = build_Q(basis, verdict.u)
-    remark = verify_remark(y, basis, q, build_rule(y, basis, m))
+    q = build_Q(y, basis, verdict.u)
+    remark = verify_remark(basis, q, build_rule(y, m))
     hq = [sum(Fraction(h) * Fraction(c) for h, c in zip(row, q.coeffs)) for row in moment_matrix(y, 2 * m)]
     top = basis.coeffs[basis.block(2 * m)]
     exact = max(
