@@ -82,7 +82,7 @@ def summarise(runs: list[dict]) -> dict:
 
 def _stretched_moments(path: str, m: int) -> None:
     y = measures.catalog_moments(measures.parse_measure_spec("symmetrized:0.5"), 2 * m)
-    x1 = np.array(glex_enumerate(2, 2 * m).indices)[:, 0]
+    x1 = glex_enumerate(2, 2 * m)[:, 0]
     measures.store_moments(measures.MomentSequence(2, 2 * m, y.array * 1e3**x1, normalized=True), path)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cubature as cub
 from . import existence, measures, ortho, qcheck
-from .indexing import dim_homog, dim_total, format_multiindex, parse_multiindex
+from .indexing import dim_homog, dim_total, format_multiindex, glex_enumerate, glex_rank, parse_multiindex
 
 EXIT_OK = 0
 EXIT_NO_CUBATURE = 10
@@ -178,12 +178,11 @@ def _cmd_ortho(cfg: argparse.Namespace) -> tuple[int, str]:
     row = basis.row(sigma)
     rep = Report(cfg.fmt)
     rep.add("sigma", format_multiindex(sigma))
-    rep.add("coefficients", _vec(row[: basis.table.rank(sigma) + 1]))
+    rep.add("coefficients", _vec(row[: glex_rank(sigma) + 1]))
     terms = []
-    for pos, c in enumerate(row):
+    for alpha, c in zip(glex_enumerate(seq.n, d).tolist(), row):
         if c == 0.0:
             continue
-        alpha = basis.table.indices[pos]
         mono = "*".join(
             f"x{i + 1}" + (f"^{a}" if a > 1 else "") for i, a in enumerate(alpha) if a > 0
         )

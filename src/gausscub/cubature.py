@@ -70,7 +70,7 @@ def multiplication_operators(y: MomentSequence, basis: OrthoBasis, m: int) -> Mu
     if basis.d < m - 1:
         raise ValueError(f"basis built to degree {basis.d}, need {m - 1}")
     s1 = dim_total(y.n, m - 1)
-    moments = y.vector(glex_enumerate(y.n, 2 * m - 1))
+    moments = y.vector(2 * m - 1)
     s = basis.coeffs[:s1, :s1]
     mats = []
     for ei in np.eye(y.n, dtype=int):
@@ -130,7 +130,7 @@ def compute_weights(y: MomentSequence, basis: OrthoBasis, nodes: np.ndarray) -> 
     is judged by `rejection`.
     """
     s1 = len(nodes)
-    vand = basis.coeffs[:s1, :s1] @ eval_monomials(basis.table, nodes)[:, :s1].T  # P_alpha(node k)
+    vand = basis.coeffs[:s1, :s1] @ eval_monomials(glex_enumerate(basis.n, basis.d)[:s1], nodes).T  # P_alpha(node k)
     rhs = np.zeros(s1)
     rhs[0] = 1.0
     try:
@@ -155,9 +155,8 @@ def verify_exactness(
     """
     if rule.n != y.n:
         raise ValueError(f"rule has dimension {rule.n}, the measure {y.n}")
-    table = glex_enumerate(y.n, 2 * rule.m - 1)
-    vals = eval_monomials(table, rule.nodes)
-    exact = y.vector(table) * y.scale
+    vals = eval_monomials(glex_enumerate(y.n, 2 * rule.m - 1), rule.nodes)
+    exact = y.vector(2 * rule.m - 1) * y.scale
     size = np.maximum(np.abs(exact), np.abs(rule.weights) @ np.abs(vals))
     size = np.maximum(size, max(1.0, y.scale))
     max_err = float((np.abs(rule.weights @ vals - exact) / size).max())

@@ -1,14 +1,16 @@
 """Multi-index combinatorics and the graded lexicographic (Glex) order.
 
-Multi-indices are plain tuples of non-negative ints; the degree of an index
-is the sum of its entries.  Every matrix and vector layout in the package is
-fixed by the Glex rank defined here: lower total degree first, ties broken
-so that a higher exponent on an earlier variable comes first (x1 heaviest).
+Multi-indices are rows of non-negative ints; the degree of an index is the
+sum of its entries.  Every matrix and vector layout in the package is fixed
+by the Glex rank defined here: lower total degree first, ties broken so that
+a higher exponent on an earlier variable comes first (x1 heaviest).  The
+layout is one cached integer array, `glex_enumerate` (row k is the index of
+rank k), and its inverse, the closed form `glex_rank`; the indices of degree
+<= d are the first `dim_total(n, d)` rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -41,35 +43,6 @@ def dim_homog(n: int, d: int) -> int:
     return c
 
 
-@dataclass(frozen=True, eq=False)
-class GlexTable:
-    """All multi-indices of degree <= d_max in n variables, in Glex order."""
-
-    n: int
-    d_max: int
-    indices: tuple[MultiIndex, ...]
-    _rank: dict[MultiIndex, int]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def rank(self, alpha: MultiIndex) -> int:
-        try:
-            return self._rank[tuple(alpha)]
-        except KeyError:
-            raise ValueError(f"{alpha} not in table (n={self.n}, d_max={self.d_max})")
-
-    def offset(self, d: int) -> int:
-        """Rank of the first index of degree d."""
-        return 0 if d == 0 else dim_total(self.n, d - 1)
-
-    def block(self, d: int) -> slice:
-        """Rank range of the indices of degree exactly d."""
-        if d > self.d_max:
-            raise ValueError(f"degree {d} exceeds table d_max={self.d_max}")
-        return slice(self.offset(d), self.offset(d) + dim_homog(self.n, d))
-
-
 def _glex_indices(n: int, d_max: int) -> list[MultiIndex]:
     """The indices of degree <= d_max in Glex order, built degree block by block.
 
@@ -84,22 +57,24 @@ def _glex_indices(n: int, d_max: int) -> list[MultiIndex]:
 
 
 @lru_cache(maxsize=None)
-def glex_enumerate(n: int, d_max: int) -> GlexTable:
-    """Enumerate all multi-indices with degree <= d_max, Glex-sorted."""
-    dim_total(n, d_max)  # validates arguments and the count range
-    idx = _glex_indices(n, d_max)
-    return GlexTable(n, d_max, tuple(idx), {a: i for i, a in enumerate(idx)})
+def glex_enumerate(n: int, d_max: int) -> np.ndarray:
+    """All multi-indices of degree <= d_max, Glex-sorted: row k of the read-only
+    (s_{d_max}, n) int64 array is the index of rank k.  Every caller shares it."""
+    dim_total(n, d_max)  # validates arguments and the count range before anything is built
+    exps = np.array(_glex_indices(n, d_max), dtype=np.int64)
+    exps.setflags(write=False)
+    return exps
 
 
 def glex_rank(*exps) -> np.ndarray:
-    """Glex ranks of index sums: the rows of sum(exps), broadcast together.
+    """Glex ranks of index sums, the inverse of `glex_enumerate`: the rows of
+    sum(exps), broadcast together.
 
     Each argument is an integer array whose last axis runs over the
-    variables; the sum is never formed.  Closed form of `GlexTable.rank`, so
-    no table is needed: with t_i = alpha_i + ... + alpha_n the tail degrees
-    (1-based i), rank(alpha) = sum_i C(n - i + t_i, n - i + 1).  Term i
-    counts the indices that agree with alpha before position i - 1 and
-    precede it there by a larger exponent (term 1: by a lower degree).
+    variables; the sum is never formed.  With t_i = alpha_i + ... + alpha_n
+    the tail degrees (1-based i), rank(alpha) = sum_i C(n - i + t_i, n - i + 1).
+    Term i counts the indices that agree with alpha before position i - 1
+    and precede it there by a larger exponent (term 1: by a lower degree).
     """
     exps = [np.asarray(e) for e in exps]
     n = exps[0].shape[-1]
@@ -109,19 +84,23 @@ def glex_rank(*exps) -> np.ndarray:
     for j in range(n):  # j = n - i: walk the variables from the last one
         for e in exps:
             tail += e[..., n - 1 - j]
-        # C(tail + j, j + 1) by a running product: step i turns c = C(x, i)
-        # into C(x, i) (x - i) = C(x, i + 1) (i + 1), so each division is exact.
-        c = np.ones(shape, dtype=np.int64)
-        for i in range(j + 1):
-            c = c * (tail + j - i) // (i + 1)
-        rank += c
+        binom = [comb(x, j + 1) for x in range(int(tail.max(initial=0)) + j + 1)]  # C(x, j + 1)
+        rank += np.array(binom, dtype=np.int64)[tail + j]
     return rank
+
+
+def index_rank(alpha, n: int, d_max: int) -> int:
+    """Glex rank of one multi-index, which needs n entries >= 0 and degree <= d_max."""
+    a = np.asarray(alpha)
+    if a.shape != (n,) or a.min() < 0 or a.sum() > d_max:
+        raise ValueError(f"{tuple(a.tolist())} is not an index of degree <= {d_max} in {n} variables")
+    return int(glex_rank(a))
 
 
 def pair_ranks(n: int, d: int, shift=None) -> np.ndarray:
     """Glex ranks of alpha + beta (+ shift) over |alpha|, |beta| <= d, the layout of every
     moment matrix: y[pair_ranks(n, d)] is M_d, and shift e_i gives L_y(x_i x^alpha x^beta)."""
-    exps = np.array(glex_enumerate(n, d).indices)
+    exps = glex_enumerate(n, d)
     extra = () if shift is None else (shift,)
     return glex_rank(exps[:, None], exps[None, :], *extra)
 

@@ -19,11 +19,11 @@ from math import comb, pi, sqrt
 import numpy as np
 
 from .indexing import (
-    GlexTable,
     MultiIndex,
     dim_total,
     format_multiindex,
     glex_enumerate,
+    index_rank,
     pair_ranks,
     parse_multiindex,
 )
@@ -112,17 +112,17 @@ class MomentSequence:
             raise ValueError(f"need one moment per index of degree <= {self.d_max}, got {self.array.shape}")
 
     def value(self, alpha: MultiIndex) -> float:
-        return float(self.array[glex_enumerate(self.n, self.d_max).rank(alpha)])
+        return float(self.array[index_rank(alpha, self.n, self.d_max)])
 
-    def vector(self, table: GlexTable) -> np.ndarray:
-        """Values laid out by the ranks of `table`: a prefix of the array."""
-        if table.d_max > self.d_max:
-            raise ValueError(f"need moments to degree {table.d_max}, have {self.d_max}")
-        return self.array[: len(table)]
+    def vector(self, d: int) -> np.ndarray:
+        """The moments of degree <= d: a prefix of the array."""
+        if d > self.d_max:
+            raise ValueError(f"need moments to degree {d}, have {self.d_max}")
+        return self.array[: dim_total(self.n, d)]
 
     def truncate(self, d: int) -> MomentSequence:
         """The same sequence cut to degrees <= d."""
-        return replace(self, d_max=d, array=self.vector(glex_enumerate(self.n, d)))
+        return replace(self, d_max=d, array=self.vector(d))
 
 
 def _double_factorial(k: int) -> float:
@@ -164,7 +164,7 @@ def _symmetrized_moments(d_max: int) -> tuple[np.ndarray, float]:
     p = t1 * t2
     base_s = [base * s**a for a in range(d_max + 1)]
     p_pow = [p**b for b in range(d_max + 1)]
-    raw = np.array([np.sum(base_s[a] * p_pow[b]) for a, b in glex_enumerate(2, d_max).indices])
+    raw = np.array([np.sum(base_s[a] * p_pow[b]) for a, b in glex_enumerate(2, d_max).tolist()])
     return raw / raw[0], float(raw[0])
 
 
@@ -175,7 +175,7 @@ def catalog_moments(spec: MeasureSpec, d_max: int) -> MomentSequence:
             raise ValueError("d_max too large for the internal quadrature table")
         array, mass = _symmetrized_moments(d_max)
         return MomentSequence(2, d_max, array, normalized=True, scale=mass)
-    exps = np.array(glex_enumerate(spec.n, d_max).indices)
+    exps = glex_enumerate(spec.n, d_max)
     m0 = _moment_1d(spec.name, 0)
     one_d = np.array([_moment_1d(spec.name, k) / m0 for k in range(d_max + 1)])
     array = np.ones(len(exps))
@@ -233,6 +233,8 @@ def read_text(path, required) -> tuple[dict[str, str], list[tuple[int, str, str]
                 raise MomentFormatError(f"line {lineno}: unparseable line {line!r}")
             if colon:
                 records.append((lineno, left, value[0]))
+            elif left in header:
+                raise MomentFormatError(f"line {lineno}: header field {left!r} given twice")
             else:
                 header[left] = value[0]
     for key in required:
@@ -260,7 +262,7 @@ def parse_value(text: str) -> float:
 def format_moments(seq: MomentSequence) -> str:
     """The moment-file text of a sequence, without the final newline."""
     header = {"n": seq.n, "d_max": seq.d_max, "normalized": str(seq.normalized).lower(), "scale": seq.scale.hex()}
-    indices = glex_enumerate(seq.n, seq.d_max).indices
+    indices = glex_enumerate(seq.n, seq.d_max).tolist()
     records = [(f'"{format_multiindex(a)}"', v.hex()) for a, v in zip(indices, seq.array.tolist())]
     return format_text(header, records, ": ")
 
@@ -300,7 +302,7 @@ def load_moments(path) -> MomentSequence:
     expected = dim_total(n, d_max)
     if len(records) != expected:
         raise MomentFormatError(f"incomplete moment file: missing {expected - len(records)} of {expected} moments")
-    array = np.array([records[a] for a in glex_enumerate(n, d_max).indices])
+    array = np.array([records[a] for a in map(tuple, glex_enumerate(n, d_max).tolist())])
     if normalized and array[0] != 1.0:
         raise MomentFormatError("file declares normalized = true but y_0 != 1")
     try:
@@ -315,7 +317,7 @@ def load_moments(path) -> MomentSequence:
 
 def moment_matrix(seq: MomentSequence, d: int) -> np.ndarray:
     """Symmetric s_d x s_d matrix with entry (alpha, beta) = y_{alpha+beta}, Glex layout."""
-    return seq.vector(glex_enumerate(seq.n, 2 * d))[pair_ranks(seq.n, d)]
+    return seq.vector(2 * d)[pair_ranks(seq.n, d)]
 
 
 def psd_cholesky(mat) -> np.ndarray:

@@ -13,24 +13,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indexing import GlexTable, MultiIndex, glex_enumerate
+from .indexing import MultiIndex, dim_total, glex_enumerate, index_rank
 from .measures import MomentSequence, moment_matrix, psd_cholesky
 
 
 @dataclass(frozen=True, eq=False)
 class OrthoBasis:
-    """Coefficients of the orthonormal family up to degree d, Glex layout."""
+    """Coefficients of the orthonormal family up to degree d: row k holds the
+    monomial coefficients of P_alpha, alpha the index of Glex rank k, in the
+    columns of `glex_enumerate(n, d)`."""
 
     n: int
     d: int
-    table: GlexTable
-    coeffs: np.ndarray = field(repr=False)  # row alpha = P_alpha in monomial basis
+    coeffs: np.ndarray = field(repr=False)
 
     def block(self, m: int) -> slice:
-        return self.table.block(m)
+        """The rows of degree exactly m."""
+        if not 0 <= m <= self.d:
+            raise ValueError(f"basis built to degree {self.d}, requested block {m}")
+        return slice(dim_total(self.n, m - 1) if m else 0, dim_total(self.n, m))
 
     def row(self, alpha: MultiIndex) -> np.ndarray:
-        return self.coeffs[self.table.rank(alpha)]
+        return self.coeffs[index_rank(alpha, self.n, self.d)]
 
 
 def build_orthobasis(y: MomentSequence, d: int) -> OrthoBasis:
@@ -42,17 +46,15 @@ def build_orthobasis(y: MomentSequence, d: int) -> OrthoBasis:
     # moments span many decades; tril keeps the exact zeros the slices rely on
     scale = np.sqrt(np.diag(mm))
     s = np.tril(np.linalg.solve(low / scale[:, None], np.eye(len(scale)))) / scale
-    return OrthoBasis(y.n, d, glex_enumerate(y.n, d), s)
+    return OrthoBasis(y.n, d, s)
 
 
-def eval_monomials(table: GlexTable, points) -> np.ndarray:
-    """Values of every monomial in the table at points of shape (..., n): (..., len(table))."""
+def eval_monomials(exps: np.ndarray, points) -> np.ndarray:
+    """Values of the monomials x^exps[k] at points of shape (..., n): (..., len(exps))."""
     x = np.asarray(points, dtype=float)
-    return np.prod(x[..., None, :] ** np.array(table.indices), axis=-1)
+    return np.prod(x[..., None, :] ** exps, axis=-1)
 
 
 def eval_P(basis: OrthoBasis, m: int, points) -> np.ndarray:
     """Values of the degree-m block (P_alpha, |alpha| = m) at points (..., n): (..., r_m)."""
-    if m > basis.d:
-        raise ValueError(f"basis built to degree {basis.d}, requested block {m}")
-    return eval_monomials(basis.table, points) @ basis.coeffs[basis.block(m)].T
+    return eval_monomials(glex_enumerate(basis.n, basis.d), points) @ basis.coeffs[basis.block(m)].T

@@ -44,7 +44,7 @@ def fuzz_moments(n, m, exists, seed, stretch=1.0, angle=0.0):
     c, s = math.cos(angle), math.sin(angle)
     lin[:2] = [[c, -s], [s, c]] @ lin[:2]
     x, pts = x @ lin.T, pts @ lin.T
-    exps = np.array(glex_enumerate(n, 2 * m).indices)
+    exps = glex_enumerate(n, 2 * m)
     y = w @ np.prod(x[:, None, :] ** exps, axis=-1)
     if exists:
         top = dim_total(n, 2 * m - 1)

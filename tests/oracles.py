@@ -1,7 +1,8 @@
 """Independent cross-check oracles for the Glex order, the orthonormal basis and the existence test.
 
 `glex_key` defines the Glex order as a sort key; `glex_enumerate` builds
-the order block by block without sorting.
+the order block by block without sorting, and `glex_positions` reads each
+index's rank off its row, not through `glex_rank`.
 `triple_product` evaluates L_y(P_gamma P_beta P_kappa) entry by entry from
 raw moments through the dict of one product's monomial coefficients that
 `product_coeffs` builds, and `ortho_det_oracle` builds P_sigma from bordered
@@ -21,6 +22,7 @@ shifts y's degree-2m moments by it: the moments of the Gaussian rule.
 """
 
 from collections import defaultdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +36,12 @@ def glex_key(alpha: MultiIndex):
     return (sum(alpha), tuple(-a for a in alpha))
 
 
+@lru_cache(maxsize=None)
+def glex_positions(n: int, d: int) -> dict[MultiIndex, int]:
+    """Each index of degree <= d at its row of `glex_enumerate`: its rank, not through `glex_rank`."""
+    return {tuple(a): i for i, a in enumerate(glex_enumerate(n, d).tolist())}
+
+
 def ortho_det_oracle(y: MomentSequence, sigma: MultiIndex) -> np.ndarray:
     """Bordered-determinant construction of P_sigma.
 
@@ -45,7 +53,7 @@ def ortho_det_oracle(y: MomentSequence, sigma: MultiIndex) -> np.ndarray:
     sigma = tuple(sigma)
     d = sum(sigma)
     mm = moment_matrix(y, d)
-    k = glex_enumerate(y.n, d).rank(sigma)
+    k = glex_positions(y.n, d)[sigma]
     sub = mm[:k, : k + 1]
     coeff = np.empty(k + 1)
     for j in range(k + 1):
@@ -62,20 +70,21 @@ def ortho_det_oracle(y: MomentSequence, sigma: MultiIndex) -> np.ndarray:
 
 def product_coeffs(basis: OrthoBasis, gamma: MultiIndex, beta: MultiIndex) -> dict:
     """Monomial coefficients of P_gamma * P_beta, as exponent -> value."""
-    t = basis.table
+    pos = glex_positions(basis.n, basis.d)
+    exps = list(pos)
     s = basis.coeffs
-    rg, rb = t.rank(gamma), t.rank(beta)
+    rg, rb = pos[tuple(gamma)], pos[tuple(beta)]
     prod: dict[MultiIndex, float] = defaultdict(float)
     for a in range(rg + 1):
         ca = s[rg, a]
         if ca == 0.0:
             continue
-        ea = t.indices[a]
+        ea = exps[a]
         for b in range(rb + 1):
             cb = s[rb, b]
             if cb == 0.0:
                 continue
-            prod[tuple(np.add(ea, t.indices[b]).tolist())] += ca * cb
+            prod[tuple(np.add(ea, exps[b]).tolist())] += ca * cb
     return prod
 
 
@@ -90,17 +99,18 @@ def triple_product(
     total = sum(gamma) + sum(beta) + sum(kappa)
     if y.d_max < total:
         raise ValueError(f"triple product needs moments to degree {total}, have {y.d_max}")
-    t = basis.table
+    exps = list(glex_positions(basis.n, basis.d))
+    ranks = glex_positions(y.n, y.d_max)
     s = basis.coeffs
     prod = product_coeffs(basis, gamma, beta)
-    rk = t.rank(kappa)
+    rk = ranks[tuple(kappa)]
     val = 0.0
     for c in range(rk + 1):
         cc = s[rk, c]
         if cc == 0.0:
             continue
-        ec = t.indices[c]
-        val += cc * sum(pc * y.value(tuple(np.add(e, ec).tolist())) for e, pc in prod.items())
+        ec = exps[c]
+        val += cc * sum(pc * y.array[ranks[tuple(np.add(e, ec).tolist())]] for e, pc in prod.items())
     return val
 
 
@@ -113,7 +123,7 @@ def product_monomials(basis: OrthoBasis, m: int) -> np.ndarray:
     sm, s2m = dim_total(basis.n, m), dim_total(basis.n, 2 * m)
     block = basis.coeffs[basis.block(m), :sm]
     left, right = (block[i] for i in np.triu_indices(block.shape[0]))
-    exps = np.array(basis.table.indices[:sm])
+    exps = glex_enumerate(basis.n, basis.d)[:sm]
     sums = glex_rank(exps[:, None], exps[None, :])
     prod = np.zeros((left.shape[0], s2m))
     for a in range(sm):
@@ -138,7 +148,7 @@ def top_factor(y: MomentSequence, m: int) -> np.ndarray:
     The paper's A2m is the leading-form A2m times L_top, and its unknown u
     is S_top v = L_top^-1 v for the leading-form system's v.
     """
-    top = glex_enumerate(y.n, 2 * m).block(2 * m)
+    top = slice(dim_total(y.n, 2 * m - 1), dim_total(y.n, 2 * m))
     return psd_cholesky(moment_matrix(y, 2 * m))[top, top]
 
 
@@ -153,11 +163,11 @@ def full_expansion(
     m = sum(gamma)
     if sum(beta) != m:
         raise ValueError("full_expansion needs |gamma| = |beta|")
-    table = glex_enumerate(y.n, 2 * m)
-    pair = tuple(sorted(table.rank(a) - table.offset(m) for a in (gamma, beta)))
+    offset = basis.block(m).start
+    pair = tuple(sorted(glex_positions(y.n, m)[tuple(a)] - offset for a in (gamma, beta)))
     rows = list(zip(*np.triu_indices(dim_homog(y.n, m))))
     row = product_expansion(y, basis, m)[rows.index(pair)]
-    return [row[table.block(j)] for j in range(2 * m + 1)]
+    return np.split(row, [dim_total(y.n, j) for j in range(2 * m)])
 
 
 def leading_form_system(y: MomentSequence, m: int) -> tuple[np.ndarray, np.ndarray]:

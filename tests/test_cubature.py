@@ -257,9 +257,9 @@ def test_exactness_on_random_polynomials():
     table = glex_enumerate(2, 3)
     for _ in range(50):
         coeffs = rng.normal(size=len(table))
-        integral = sum(c * y.value(a) for c, a in zip(coeffs, table.indices)) * y.scale
+        integral = sum(c * y.value(a) for c, a in zip(coeffs, table.tolist())) * y.scale
         approx = sum(
-            w * sum(c * np.prod(x ** np.array(a)) for c, a in zip(coeffs, table.indices))
+            w * sum(c * np.prod(x ** np.array(a)) for c, a in zip(coeffs, table.tolist()))
             for w, x in zip(rule.weights, rule.nodes)
         )
         assert abs(approx - integral) <= 1e-8 * max(1.0, abs(integral))
@@ -273,7 +273,7 @@ def test_atomic_measure_reproduces_completed_moments():
         z = flat_completion(y, verdict.u, m)
         rule = build_rule(y, m)
         w_prob = rule.weights / rule.scale
-        for alpha in glex_enumerate(y.n, 2 * m).indices:
+        for alpha in glex_enumerate(y.n, 2 * m).tolist():
             atom = sum(w * np.prod(x ** np.array(alpha)) for w, x in zip(w_prob, rule.nodes))
             assert abs(atom - z.value(alpha)) <= 1e-8
 

@@ -13,7 +13,7 @@ from gausscub.indexing import (
     parse_multiindex,
 )
 
-from oracles import glex_key
+from oracles import glex_key, glex_positions
 
 
 def brute_monomials(n, d_max):
@@ -46,14 +46,25 @@ def test_dim_validation():
         dim_total(500, 500)
 
 
+def _indices(n: int, d_max: int) -> list[tuple[int, ...]]:
+    return [tuple(a) for a in glex_enumerate(n, d_max).tolist()]
+
+
 def test_glex_enumerate_n2():
-    table = glex_enumerate(2, 2)
-    assert table.indices == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    assert _indices(2, 2) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
 def test_glex_enumerate_simple():
-    assert glex_enumerate(1, 3).indices == ((0,), (1,), (2,), (3,))
-    assert glex_enumerate(3, 1).indices == ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert _indices(1, 3) == [(0,), (1,), (2,), (3,)]
+    assert _indices(3, 1) == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_glex_enumerate_is_a_shared_read_only_int_array():
+    exps = glex_enumerate(2, 3)
+    assert exps.dtype == np.int64 and exps.shape == (dim_total(2, 3), 2)
+    assert glex_enumerate(2, 3) is exps
+    with pytest.raises(ValueError):
+        exps[0, 0] = 1
 
 
 @given(
@@ -79,25 +90,24 @@ def test_glex_total_order(abc):
 
 @given(st.integers(1, 4), st.integers(0, 6))
 def test_glex_enumerate_sorted_and_complete(n, d_max):
-    table = glex_enumerate(n, d_max)
-    assert len(table) == dim_total(n, d_max)
-    assert sorted(table.indices, key=glex_key) == list(table.indices)
-    assert len(set(table.indices)) == len(table)
-    for i, alpha in enumerate(table.indices):
-        assert table.rank(alpha) == i
+    indices = _indices(n, d_max)
+    assert len(indices) == dim_total(n, d_max)
+    assert sorted(indices, key=glex_key) == indices
+    assert len(set(indices)) == len(indices)
+    assert all(len(a) == n and min(a) >= 0 and sum(a) <= d_max for a in indices)
 
 
 def test_glex_enumerate_matches_sorted_brute_force():
     # the table is built block by block; the definition is the sort by glex_key
     for n in range(1, 6):
         for d_max in range(7):
-            assert list(glex_enumerate(n, d_max).indices) == sorted(brute_monomials(n, d_max), key=glex_key)
+            assert _indices(n, d_max) == sorted(brute_monomials(n, d_max), key=glex_key)
 
 
 def test_degree_blocks():
-    table = glex_enumerate(3, 4)
+    indices = _indices(3, 4)
     for d in range(5):
-        block = table.indices[table.block(d)]
+        block = indices[dim_total(3, d) - dim_homog(3, d) : dim_total(3, d)]
         assert len(block) == dim_homog(3, d)
         assert all(sum(a) == d for a in block)
 
@@ -111,24 +121,24 @@ def test_dim_total_is_sum_of_homog():
 def test_glex_rank_matches_table():
     for n in range(1, 5):
         for d in range(7):
-            table = glex_enumerate(n, d)
-            exps = np.array(table.indices)
-            assert list(glex_rank(exps)) == [table.rank(a) for a in table.indices]
+            pos = glex_positions(n, d)
+            assert glex_rank(glex_enumerate(n, d)).tolist() == list(range(len(pos)))
+            assert glex_rank(np.zeros((0, n), dtype=np.int64)).shape == (0,)
             # broadcast parts rank their sums without forming them
-            low = glex_enumerate(n, d // 2).indices
+            low = _indices(n, d // 2)
             sums = glex_rank(np.array(low)[:, None], np.array(low)[None, :])
-            assert sums.tolist() == [[table.rank(add(a, b)) for b in low] for a in low]
+            assert sums.tolist() == [[pos[add(a, b)] for b in low] for a in low]
 
 
 def test_glex_rank_high_degree_and_unit_shift():
     for n, d in ((1, 20), (2, 20), (3, 12), (4, 10)):
-        table = glex_enumerate(n, d)
-        assert glex_rank(np.array(table.indices)).tolist() == list(range(len(table)))
+        pos = glex_positions(n, d)
+        assert glex_rank(glex_enumerate(n, d)).tolist() == list(range(len(pos)))
         # the e_i shift of multiplication_operators
-        low = np.array(glex_enumerate(n, (d - 1) // 2).indices)
+        low = glex_enumerate(n, (d - 1) // 2)
         for ei in np.eye(n, dtype=int):
             ranks = glex_rank(low[:, None], low[None, :], ei)
-            assert ranks.tolist() == [[table.rank(add(a, b, ei)) for b in low] for a in low]
+            assert ranks.tolist() == [[pos[add(a, b, ei)] for b in low.tolist()] for a in low.tolist()]
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(st.integers(0, 20), min_size=n, max_size=n)))

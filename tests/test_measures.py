@@ -72,7 +72,7 @@ def test_product_measures_factorize():
 def test_product_moments_are_products_of_1d_moments_bit_for_bit(spec_text, d_max):
     y = catalog(spec_text, d_max)
     y1 = catalog(spec_text.split("^")[0], d_max)
-    for alpha in glex_enumerate(y.n, d_max).indices:
+    for alpha in glex_enumerate(y.n, d_max).tolist():
         assert y.value(alpha) == math.prod(y1.value((a,)) for a in alpha), alpha
 
 
@@ -80,8 +80,7 @@ def test_symmetrized_moments_symmetry():
     y = catalog("symmetrized:0.5", 6)
     assert y.value((0, 0)) == 1.0
     # (t1,t2) -> (-t1,-t2) flips the sign of t1+t2 only: odd a moments vanish
-    table = glex_enumerate(2, 6)
-    for a, b in table.indices:
+    for a, b in glex_enumerate(2, 6).tolist():
         if a % 2 == 1:
             assert y.value((a, b)) == pytest.approx(0.0, abs=1e-13)
     assert y.value((1, 0)) == pytest.approx(0.0, abs=1e-14)
@@ -92,7 +91,7 @@ def test_symmetrized_moments_match_a_denser_quadrature():
     t = np.cos((2 * np.arange(1, 41) - 1) * math.pi / 80)
     t1, t2 = t[:, None], t[None, :]
     weight = (t1 - t2) ** 2
-    expected = [np.sum(weight * (t1 + t2) ** a * (t1 * t2) ** b) for a, b in glex_enumerate(2, 12).indices]
+    expected = [np.sum(weight * (t1 + t2) ** a * (t1 * t2) ** b) for a, b in glex_enumerate(2, 12).tolist()]
     got = catalog("symmetrized:0.5", 12).array
     assert got == pytest.approx(np.array(expected) / expected[0], rel=1e-12, abs=1e-13)
 
@@ -136,13 +135,30 @@ def test_moment_file_roundtrip(tmp_path):
     )
 )
 def test_moment_file_roundtrip_arbitrary_floats(tmp_path_factory, vals):
-    table = glex_enumerate(2, 2)
     values = np.array(vals)
-    values[table.rank((0, 0))] = 1.0
+    values[0] = 1.0  # y_(0,0)
     seq = MomentSequence(2, 2, values, normalized=True, scale=1.0)
     path = tmp_path_factory.mktemp("mom") / "m.txt"
     store_moments(seq, path)
     assert np.array_equal(load_moments(path).array, seq.array)
+
+
+def test_moment_file_records_load_in_any_order(tmp_path):
+    y = catalog("chebyshev1^2", 6)
+    path = tmp_path / "m.txt"
+    store_moments(y, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:4] + lines[:3:-1]) + "\n")
+    assert lines[4].startswith('"0,0"') and path.read_text().splitlines()[4].startswith('"0,6"')
+    assert np.array_equal(load_moments(path).array, y.array)
+
+
+def test_value_rejects_an_index_outside_the_sequence():
+    y = catalog("lebesgue^2", 4)
+    assert y.value((1, 3)) == y.array[13]
+    for alpha in ((1,), (1, 1, 1), (-1, 2), (3, 2)):
+        with pytest.raises(ValueError, match=r"is not an index of degree <= 4 in 2 variables"):
+            y.value(alpha)
 
 
 def test_moment_file_validation(tmp_path):
@@ -221,6 +237,11 @@ def test_text_grammar(tmp_path, fmt):
         bad.write_text("\n".join(line for line in lines if not line.startswith(f"{key} =")) + "\n")
         with pytest.raises(MomentFormatError, match=f"missing header field '{key}'"):
             load(bad)
+        # a field given twice is an error, not the last value read
+        twice = next(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
+        bad.write_text("\n".join([*lines[: twice + 1], lines[twice], *lines[twice + 1 :]]) + "\n")
+        with pytest.raises(MomentFormatError, match=rf"line {twice + 2}: header field '{key}' given twice"):
+            load(bad)
 
 
 _TOKEN = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1)
@@ -266,7 +287,7 @@ def test_moment_matrix_copies_moments_exactly():
     rng = np.random.default_rng(3)
     table = glex_enumerate(3, 6)
     y = MomentSequence(3, 6, rng.standard_normal(len(table)), normalized=False)
-    rows = glex_enumerate(3, 3).indices
+    rows = glex_enumerate(3, 3).tolist()
     expected = [[y.value(tuple(a + b for a, b in zip(ra, rb))) for rb in rows] for ra in rows]
     assert np.array_equal(moment_matrix(y, 3), np.array(expected))
 
