@@ -73,8 +73,8 @@ def multiplication_operators(y: MomentSequence, basis: OrthoBasis, m: int) -> Mu
     moments = y.vector(2 * m - 1)
     s = basis.coeffs[:s1, :s1]
     mats = []
-    for ei in np.eye(y.n, dtype=int):
-        ni = s @ moments[pair_ranks(y.n, m - 1, ei)] @ s.T
+    for i in range(y.n):
+        ni = s @ moments[pair_ranks(y.n, m - 1, i)] @ s.T
         mats.append(0.5 * (ni + ni.T))
     return MultiplicationOperators(y.n, m, tuple(mats))
 

@@ -35,11 +35,16 @@ class Verdict:
     u: np.ndarray = field(repr=False)  # the degree-2m moment shift v
     residual: float
     relative_residual: float
-    rank: int  # numerical rank of C - B^T A^-1 B, 0 for flat data
     tol: float
     noise_floor: float
     defect: np.ndarray = field(repr=False)  # R^ minus its class means, r_m x r_m
     rounding: float  # eps cond(L^)^2 ||C^||: the absolute level rounding reaches
+    schur: np.ndarray = field(repr=False)  # R^ = W^T W - C^, r_m x r_m
+
+    @property
+    def rank(self) -> int:
+        """Numerical rank of R^ at the rounding level, 0 for flat data."""
+        return int(np.linalg.matrix_rank(self.schur, tol=self.rounding))
 
     def defect_rank(self) -> int:
         """Numerical rank of the defect at the rounding level; 0 for a flat completion,
@@ -51,9 +56,11 @@ def decide(y: MomentSequence, m: int, tol: float = 1e-8) -> Verdict:
     """Hankel test on the Schur complement of M_{m-1} in M_m; needs moments to 2m.
 
     The defect is R minus its class means, measured on the equilibrated
-    scale and relative to the equilibrated R.  A NO whose relative defect
-    does not clear the noise floor eps cond(A^) ||C^|| / ||R^|| raises
-    NoiseFloorError instead of returning a verdict.
+    scale and relative to the equilibrated R, or to C^ when R^ itself is at
+    the rounding level (flat data, whose defect is noise).  A NO whose
+    relative defect does not clear the noise floor eps cond(A^) ||C^|| / ||R^||
+    (on flat data eps cond(A^)) raises NoiseFloorError instead of returning a
+    verdict.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -79,10 +86,12 @@ def decide(y: MomentSequence, m: int, tol: float = 1e-8) -> Verdict:
     defect = rh.ravel() - v[cls] / dc
     residual = float(np.linalg.norm(defect))
     rnorm = float(np.linalg.norm(rh))
-    rounding = np.finfo(float).eps * np.linalg.cond(low) ** 2 * float(np.linalg.norm(ch))
-    # an exactly vanishing R^ has an exactly vanishing residual
-    relative = residual / rnorm if rnorm else 0.0
-    noise_floor = rounding / rnorm if rnorm else math.inf
+    cnorm = float(np.linalg.norm(ch))
+    rounding = np.finfo(float).eps * np.linalg.cond(low) ** 2 * cnorm
+    # an R^ within rounding is flat data: relative to it the defect is noise, relative to C^ it is not
+    ref = rnorm if rnorm > rounding else cnorm
+    relative = residual / ref if ref else 0.0
+    noise_floor = rounding / ref if ref else math.inf
     if tol < relative <= noise_floor:
         raise NoiseFloorError(
             f"relative residual {relative:.3e} above tol {tol:.1e}"
@@ -93,9 +102,9 @@ def decide(y: MomentSequence, m: int, tol: float = 1e-8) -> Verdict:
         u=v,
         residual=residual,
         relative_residual=relative,
-        rank=int(np.linalg.matrix_rank(rh, tol=rounding)),
         tol=tol,
         noise_floor=float(noise_floor),
         defect=defect.reshape(rh.shape),
         rounding=float(rounding),
+        schur=rh,
     )

@@ -97,12 +97,16 @@ def index_rank(alpha, n: int, d_max: int) -> int:
     return int(glex_rank(a))
 
 
-def pair_ranks(n: int, d: int, shift=None) -> np.ndarray:
-    """Glex ranks of alpha + beta (+ shift) over |alpha|, |beta| <= d, the layout of every
-    moment matrix: y[pair_ranks(n, d)] is M_d, and shift e_i gives L_y(x_i x^alpha x^beta)."""
+@lru_cache(maxsize=None)
+def pair_ranks(n: int, d: int, var: int | None = None) -> np.ndarray:
+    """Glex ranks of alpha + beta (+ e_var) over |alpha|, |beta| <= d, the layout of every
+    moment matrix: y[pair_ranks(n, d)] is M_d, and var i gives L_y(x_i x^alpha x^beta).
+    Cached like `glex_enumerate`: every caller shares the read-only (s_d, s_d) array."""
     exps = glex_enumerate(n, d)
-    extra = () if shift is None else (shift,)
-    return glex_rank(exps[:, None], exps[None, :], *extra)
+    extra = () if var is None else (np.eye(n, dtype=np.int64)[var],)
+    ranks = glex_rank(exps[:, None], exps[None, :], *extra)
+    ranks.setflags(write=False)
+    return ranks
 
 
 def format_multiindex(alpha: MultiIndex) -> str:

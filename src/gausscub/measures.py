@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 from math import comb, pi, sqrt
 
 import numpy as np
@@ -23,6 +24,7 @@ from .indexing import (
     dim_total,
     format_multiindex,
     glex_enumerate,
+    glex_rank,
     index_rank,
     pair_ranks,
     parse_multiindex,
@@ -222,21 +224,24 @@ def read_text(path, required) -> tuple[dict[str, str], list[tuple[int, str, str]
     records: list[tuple[int, str, str]] = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
+            left, colon, right = raw.partition(":")
+            left = left.strip()
+            if colon and not left.startswith("#"):  # a record
+                value = right.split()
+                if len(value) != 1:
+                    raise MomentFormatError(f"line {lineno}: unparseable line {raw.strip()!r}")
+                records.append((lineno, left, value[0]))
+                continue
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            left, colon, right = line.partition(":")
-            if not colon:  # a header line
-                left, _, right = line.partition("=")
+            left, _, right = line.partition("=")
             left, value = left.rstrip(), right.split()
-            if len(value) != 1 or not (colon or _KEY_RE.fullmatch(left)):
+            if len(value) != 1 or not _KEY_RE.fullmatch(left):
                 raise MomentFormatError(f"line {lineno}: unparseable line {line!r}")
-            if colon:
-                records.append((lineno, left, value[0]))
-            elif left in header:
+            if left in header:
                 raise MomentFormatError(f"line {lineno}: header field {left!r} given twice")
-            else:
-                header[left] = value[0]
+            header[left] = value[0]
     for key in required:
         if key not in header:
             raise MomentFormatError(f"missing header field {key!r}")
@@ -250,11 +255,15 @@ def format_text(header: dict, records, sep: str) -> str:
     return "\n".join(lines)
 
 
+def _number(text: str) -> float:
+    # an x can only stand in a hex-float's 0x, after at most one sign: float() rejects any x
+    return float.fromhex(text) if "x" in text or "X" in text else float(text)
+
+
 def parse_value(text: str) -> float:
+    """A decimal or hex-float token's value; MomentFormatError for any other token."""
     try:
-        if text.lower().lstrip("+-").startswith("0x"):
-            return float.fromhex(text)
-        return float(text)
+        return _number(text)
     except ValueError:
         raise MomentFormatError(f"bad numeric value {text!r}")
 
@@ -272,8 +281,28 @@ def store_moments(seq: MomentSequence, path) -> None:
         fh.write(format_moments(seq) + "\n")
 
 
+def _leading_indices(lefts, n: int) -> np.ndarray:
+    """The exponents, as floats, of the leading records whose left side is a
+    quoted index of n digit runs: a (p, n) array from one match and one parse."""
+    text = "\n".join(lefts) + "\n"
+    # a record of n entries takes 2n + 2 characters: a larger n fits none (and sizes no pattern)
+    end = re.compile(rf'(?:"[0-9]+(?:,[0-9]+){{{n - 1}}}"\n)*').match(text).end() if 0 < 2 * n < len(text) else 0
+    if not end:  # p = 0
+        return np.zeros((0, 1))
+    # '"1,0"\n"0,1"\n' -> '1,0,0,1': digit runs and commas only, exact below 2^53
+    return np.fromstring(text[1 : end - 2].replace('"\n"', ","), sep=",").reshape(-1, n)
+
+
 def load_moments(path) -> MomentSequence:
-    header, lines = read_text(path, ("n", "d_max", "normalized", "scale"))
+    """Read a moment file.  A MomentFormatError names the first record at fault,
+    each record checked in turn for its quoted index, a duplicate, its degree,
+    its value and a finite value; then the record count.
+
+    The checks run on whole arrays, and only a file that passes them all
+    gets a rank table and its s_(d_max) moments: a header's d_max never
+    sizes anything before the records fill it.
+    """
+    header, records = read_text(path, ("n", "d_max", "normalized", "scale"))
     try:
         n = int(header["n"])
         d_max = int(header["d_max"])
@@ -283,26 +312,40 @@ def load_moments(path) -> MomentSequence:
         raise MomentFormatError("normalized must be true or false")
     normalized = header["normalized"] == "true"
     scale = parse_value(header["scale"])
-    records: dict[MultiIndex, float] = {}
-    for lineno, left, right in lines:
+    linenos, lefts, rights = zip(*records) if records else ((), (), ())
+    exps = _leading_indices(lefts, n)
+    # a float degree reaches d_max + 1 exactly when the index's degree does (for d_max < 2^53:
+    # a larger d_max declares more moments than any file holds)
+    cap = max(0, min(d_max + 1, 2**53))
+    at_fault = exps.sum(axis=1) >= cap
+    order = np.lexsort(exps.T)  # stable: a repeated index follows its first record
+    ranked = exps[order]
+    at_fault[order[1:]] |= (ranked[1:] == ranked[:-1]).all(axis=1)
+    p = int(at_fault.argmax()) if at_fault.any() else len(exps)  # the first record whose index is at fault
+    try:
+        values = list(takewhile(math.isfinite, map(_number, rights[:p])))
+    except ValueError:  # parse_value names the first bad token, unless a non-finite value comes first
+        values = list(takewhile(math.isfinite, map(parse_value, rights[:p])))
+    if len(values) < p:
+        alpha = tuple(map(int, exps[len(values)].tolist()))
+        raise MomentFormatError(f"line {linenos[len(values)]}: non-finite value for {alpha}")
+    if p < len(records):
+        lineno, left = linenos[p], lefts[p]
         if (index := _INDEX_RE.fullmatch(left)) is None:
             raise MomentFormatError(f"line {lineno}: a record needs a quoted multi-index, got {left!r}")
         try:
             alpha = parse_multiindex(index[1], n)
         except ValueError as e:
             raise MomentFormatError(f"line {lineno}: {e}")
-        if alpha in records:
-            raise MomentFormatError(f"line {lineno}: duplicate multi-index {alpha}")
         if sum(alpha) > d_max:
             raise MomentFormatError(f"line {lineno}: multi-index {alpha} exceeds declared d_max={d_max}")
-        records[alpha] = parse_value(right)
-        if not math.isfinite(records[alpha]):
-            raise MomentFormatError(f"line {lineno}: non-finite value for {alpha}")
+        raise MomentFormatError(f"line {lineno}: duplicate multi-index {alpha}")
     # the records are distinct and of degree <= d_max: complete iff there are s_(d_max)
     expected = dim_total(n, d_max)
-    if len(records) != expected:
-        raise MomentFormatError(f"incomplete moment file: missing {expected - len(records)} of {expected} moments")
-    array = np.array([records[a] for a in map(tuple, glex_enumerate(n, d_max).tolist())])
+    if len(values) != expected:
+        raise MomentFormatError(f"incomplete moment file: missing {expected - len(values)} of {expected} moments")
+    array = np.empty(expected)
+    array[glex_rank(exps.astype(np.int64))] = values
     if normalized and array[0] != 1.0:
         raise MomentFormatError("file declares normalized = true but y_0 != 1")
     try:

@@ -19,15 +19,22 @@ degree 4m, and `full_expansion` reads every slice of one product from it.
 decides it by the least-squares residual.  On a YES its solution is the
 moment shift v of `gausscub.existence.decide`, and `flat_completion`
 shifts y's degree-2m moments by it: the moments of the Gaussian rule.
+
+`load_moments_by_record` reads a moment file one record at a time, each
+through its own regex, index parse, dict lookup and value parse: the
+reference for `gausscub.measures.load_moments`, which checks all records as
+whole arrays.
 """
 
+import math
+import re
 from collections import defaultdict
 from functools import lru_cache
 
 import numpy as np
 
-from gausscub.indexing import MultiIndex, dim_homog, dim_total, glex_enumerate, glex_rank
-from gausscub.measures import MomentSequence, moment_matrix, psd_cholesky
+from gausscub.indexing import MultiIndex, dim_homog, dim_total, glex_enumerate, glex_rank, parse_multiindex
+from gausscub.measures import MomentFormatError, MomentSequence, moment_matrix, parse_value, psd_cholesky, read_text
 from gausscub.ortho import OrthoBasis, build_orthobasis
 
 
@@ -197,3 +204,47 @@ def flat_completion(y: MomentSequence, v: np.ndarray, m: int) -> MomentSequence:
     z = y.truncate(2 * m).array.copy()
     z[dim_total(y.n, 2 * m - 1) :] += v
     return MomentSequence(y.n, 2 * m, z, normalized=y.normalized, scale=y.scale)
+
+
+_INDEX_RE = re.compile(r'"([0-9,]+)"')
+
+
+def load_moments_by_record(path) -> MomentSequence:
+    """A moment file read record by record: the first record at fault, in file
+    order, raises MomentFormatError naming its line."""
+    header, lines = read_text(path, ("n", "d_max", "normalized", "scale"))
+    try:
+        n = int(header["n"])
+        d_max = int(header["d_max"])
+    except ValueError:
+        raise MomentFormatError("n and d_max must be integers")
+    if header["normalized"] not in ("true", "false"):
+        raise MomentFormatError("normalized must be true or false")
+    normalized = header["normalized"] == "true"
+    scale = parse_value(header["scale"])
+    records: dict[MultiIndex, float] = {}
+    for lineno, left, right in lines:
+        if (index := _INDEX_RE.fullmatch(left)) is None:
+            raise MomentFormatError(f"line {lineno}: a record needs a quoted multi-index, got {left!r}")
+        try:
+            alpha = parse_multiindex(index[1], n)
+        except ValueError as e:
+            raise MomentFormatError(f"line {lineno}: {e}")
+        if alpha in records:
+            raise MomentFormatError(f"line {lineno}: duplicate multi-index {alpha}")
+        if sum(alpha) > d_max:
+            raise MomentFormatError(f"line {lineno}: multi-index {alpha} exceeds declared d_max={d_max}")
+        records[alpha] = parse_value(right)
+        if not math.isfinite(records[alpha]):
+            raise MomentFormatError(f"line {lineno}: non-finite value for {alpha}")
+    # the records are distinct and of degree <= d_max: complete iff there are s_(d_max)
+    expected = dim_total(n, d_max)
+    if len(records) != expected:
+        raise MomentFormatError(f"incomplete moment file: missing {expected - len(records)} of {expected} moments")
+    array = np.array([records[a] for a in map(tuple, glex_enumerate(n, d_max).tolist())])
+    if normalized and array[0] != 1.0:
+        raise MomentFormatError("file declares normalized = true but y_0 != 1")
+    try:
+        return MomentSequence(n, d_max, array, normalized=normalized, scale=scale)
+    except ValueError as e:
+        raise MomentFormatError(str(e))

@@ -9,6 +9,7 @@ import pytest
 
 from gausscub.cli import EXIT_INPUT, EXIT_NO_CUBATURE, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from gausscub.cubature import load_rule
+from gausscub.indexing import glex_enumerate
 from gausscub.measures import (
     MomentFormatError,
     MomentSequence,
@@ -85,6 +86,18 @@ def test_stretched_yes_file_exits_0(capsys, tmp_path):
         store_moments(fuzz_moments(2, 2, True, seed, stretch=1e3), path)
         code, out, err = run_cli(capsys, "exists", "--moments", path, "--m", "2", "--format", "machine")
         assert code == EXIT_OK, (seed, out, err)
+
+
+def test_flat_atoms_file_exits_0(capsys, tmp_path):
+    # the moments of s_1 = 3 atoms in 2-D are exactly flat at m = 2: R^ is rounding
+    # noise, so the defect is measured against C^ and the verdict is a YES
+    x = np.array([[0.3, -0.2], [-0.5, 0.6], [0.1, 0.9]])
+    exps = glex_enumerate(2, 4)
+    path = str(tmp_path / "atoms.txt")
+    store_moments(MomentSequence(2, 4, np.full(3, 1 / 3) @ np.prod(x[:, None, :] ** exps, axis=-1), normalized=True), path)
+    code, out, err = run_cli(capsys, "exists", "--moments", path, "--m", "2", "--format", "machine")
+    assert code == EXIT_OK, (out, err)
+    assert "verdict = exists" in out and "rank = 0" in out
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from gausscub.indexing import (
     format_multiindex,
     glex_enumerate,
     glex_rank,
+    pair_ranks,
     parse_multiindex,
 )
 
@@ -65,6 +66,11 @@ def test_glex_enumerate_is_a_shared_read_only_int_array():
     assert glex_enumerate(2, 3) is exps
     with pytest.raises(ValueError):
         exps[0, 0] = 1
+    # so is the pair layout every moment matrix gathers through
+    ranks = pair_ranks(2, 3, 1)
+    assert pair_ranks(2, 3, 1) is ranks
+    with pytest.raises(ValueError):
+        ranks[0, 0] = 1
 
 
 @given(
@@ -136,9 +142,10 @@ def test_glex_rank_high_degree_and_unit_shift():
         assert glex_rank(glex_enumerate(n, d)).tolist() == list(range(len(pos)))
         # the e_i shift of multiplication_operators
         low = glex_enumerate(n, (d - 1) // 2)
-        for ei in np.eye(n, dtype=int):
+        for i, ei in enumerate(np.eye(n, dtype=int)):
             ranks = glex_rank(low[:, None], low[None, :], ei)
             assert ranks.tolist() == [[pos[add(a, b, ei)] for b in low.tolist()] for a in low.tolist()]
+            assert np.array_equal(pair_ranks(n, (d - 1) // 2, i), ranks)
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(st.integers(0, 20), min_size=n, max_size=n)))

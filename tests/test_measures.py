@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gausscub import measures
 from gausscub.cubature import CubatureRule, load_rule, store_rule
-from gausscub.indexing import glex_enumerate
+from gausscub.indexing import format_multiindex, glex_enumerate
 from gausscub.measures import (
     MeasureSpec,
     MomentFormatError,
@@ -24,6 +24,7 @@ from gausscub.measures import (
 )
 
 from conftest import catalog
+from oracles import load_moments_by_record
 
 
 def test_parse_measure_spec():
@@ -202,6 +203,87 @@ def test_incomplete_moment_file_is_rejected_before_its_table_is_built(tmp_path, 
     with pytest.raises(MomentFormatError, match="missing"):
         load_moments(path)
 
+
+
+# one fault each; every one of them is a file both loaders must reject
+_FAULTS = ("drop", "duplicate", "short", "long", "empty", "deep", "nan", "inf", "junk", "huge", "past-int64")
+
+
+@st.composite
+def _moment_files(draw):
+    """The text of a moment file with n = 1..3 and d_max <= 6, records shuffled and
+    values in hex or decimal, and whether it carries one of the _FAULTS."""
+    n, d_max = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    indices = glex_enumerate(n, d_max).tolist()
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=len(indices), max_size=len(indices)))
+    normalized = draw(st.booleans())
+    if normalized:
+        values[0] = 1.0
+    hexes = draw(st.lists(st.booleans(), min_size=len(indices), max_size=len(indices)))
+    records = [[list(a), v.hex() if h else repr(v)] for a, v, h in zip(indices, values, hexes)]
+    records = draw(st.permutations(records))
+    fault = draw(st.sampled_from((None,) + _FAULTS))
+    k = draw(st.integers(0, len(records) - 1))
+    alpha = records[k][0]
+    if fault == "drop":
+        del records[k]
+    elif fault == "duplicate":
+        records.insert(draw(st.integers(0, len(records))), records[k])
+    elif fault == "short":
+        records[k] = [alpha[:-1], records[k][1]]
+    elif fault == "long":
+        records[k] = [alpha + [0], records[k][1]]
+    elif fault == "deep":
+        records[k] = [[d_max + 1] + [0] * (n - 1), records[k][1]]
+    elif fault in ("huge", "past-int64"):
+        records[k] = [[99999999 if fault == "huge" else 10**23] + [0] * (n - 1), records[k][1]]
+    elif fault in ("nan", "inf", "junk"):
+        records[k] = [alpha, {"nan": "nan", "inf": draw(st.sampled_from(["inf", "-inf", "1e999"])), "junk": "0x1.2q3"}[fault]]
+    lines = [f'"{format_multiindex(a)}": {v}' for a, v in records]
+    if fault == "empty":
+        lines[k] = lines[k].replace('"', '",', 1)
+    header = [f"n = {n}", f"d_max = {d_max}", f"normalized = {str(normalized).lower()}", "scale = 0x1.8p+1"]
+    return "\n".join(header + lines) + "\n", fault is not None
+
+
+def _outcome(load, path):
+    try:
+        seq = load(path)
+    except Exception as e:
+        return type(e), str(e)
+    return seq.n, seq.d_max, seq.normalized, seq.scale, seq.array.tobytes()
+
+
+@settings(max_examples=300)
+@given(_moment_files())
+def test_loader_agrees_with_the_record_by_record_oracle(tmp_path_factory, file):
+    # both accept with the same bits, or both raise the same MomentFormatError naming the same line;
+    # a huge exponent is rejected before any table is sized by it, within hypothesis's deadline
+    text, faulty = file
+    path = tmp_path_factory.mktemp("mom") / "m.txt"
+    path.write_text(text)
+    got = _outcome(load_moments, path)
+    assert got == _outcome(load_moments_by_record, path)
+    assert (got[0] is MomentFormatError) == faulty
+
+
+def test_loader_names_the_first_fault_in_file_order(tmp_path):
+    # several faults: the first record at fault is named, with the check a record-by-record reader meets first
+    y = catalog("lebesgue^2", 2)
+    path = tmp_path / "m.txt"
+    store_moments(y, path)
+    head, records = path.read_text().splitlines()[:4], path.read_text().splitlines()[4:]
+    cases = {
+        "duplicate before a bad value": records[:2] + [records[0], '"1,1": junk'] + records[2:],
+        "non-finite before a bad value": [records[0], '"1,0": nan', '"0,1": junk'] + records[3:],
+        "bad value before a deep index": [records[0], '"1,0": junk', '"9,0": 1'] + records[2:],
+        "deep index before a bad index": [records[0], '"99999999999999999999999,0": 1', '"1,,0": 1'] + records[1:],
+        "bad index before incomplete": records[:3] + ['"1": 1'],
+    }
+    for name, body in cases.items():
+        path.write_text("\n".join(head + body) + "\n")
+        got = _outcome(load_moments, path)
+        assert got[0] is MomentFormatError and got == _outcome(load_moments_by_record, path), name
 
 
 # each file format: a value to store, its writer and reader, and its required header fields
