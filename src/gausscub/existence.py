@@ -56,11 +56,11 @@ def decide(y: MomentSequence, m: int, tol: float = 1e-8) -> Verdict:
     """Hankel test on the Schur complement of M_{m-1} in M_m; needs moments to 2m.
 
     The defect is R minus its class means, measured on the equilibrated
-    scale and relative to the equilibrated R, or to C^ when R^ itself is at
-    the rounding level (flat data, whose defect is noise).  A NO whose
-    relative defect does not clear the noise floor eps cond(A^) ||C^|| / ||R^||
-    (on flat data eps cond(A^)) raises NoiseFloorError instead of returning a
-    verdict.
+    scale and relative to the equilibrated R, or to C^ when R^ is no larger
+    than the rounding of W^T W - C^ itself (flat data, whose R^ and defect
+    are noise).  A NO whose relative defect does not clear the noise floor
+    eps cond(A^) ||C^|| / ||R^|| (on flat data eps cond(A^)) raises
+    NoiseFloorError instead of returning a verdict.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -87,9 +87,12 @@ def decide(y: MomentSequence, m: int, tol: float = 1e-8) -> Verdict:
     residual = float(np.linalg.norm(defect))
     rnorm = float(np.linalg.norm(rh))
     cnorm = float(np.linalg.norm(ch))
-    rounding = np.finfo(float).eps * np.linalg.cond(low) ** 2 * cnorm
-    # an R^ within rounding is flat data: relative to it the defect is noise, relative to C^ it is not
-    ref = rnorm if rnorm > rounding else cnorm
+    eps = np.finfo(float).eps
+    rounding = eps * np.linalg.cond(low) ** 2 * cnorm
+    # An R^ within the rounding of the subtraction that forms it, (s1 + 1) eps (||W||^2 + ||C^||),
+    # is flat data: relative to R^ its defect is noise, relative to C^ it is not.
+    flat = rnorm <= (s1 + 1) * eps * (float(np.vdot(w, w)) + cnorm)
+    ref = cnorm if flat else rnorm
     relative = residual / ref if ref else 0.0
     noise_floor = rounding / ref if ref else math.inf
     if tol < relative <= noise_floor:

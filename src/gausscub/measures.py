@@ -224,24 +224,21 @@ def read_text(path, required) -> tuple[dict[str, str], list[tuple[int, str, str]
     records: list[tuple[int, str, str]] = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            left, colon, right = raw.partition(":")
-            left = left.strip()
-            if colon and not left.startswith("#"):  # a record
-                value = right.split()
-                if len(value) != 1:
-                    raise MomentFormatError(f"line {lineno}: unparseable line {raw.strip()!r}")
-                records.append((lineno, left, value[0]))
-                continue
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            left, _, right = line.partition("=")
+            left, colon, right = line.partition(":")
+            if not colon:  # a header line
+                left, _, right = line.partition("=")
             left, value = left.rstrip(), right.split()
-            if len(value) != 1 or not _KEY_RE.fullmatch(left):
+            if len(value) != 1 or not (colon or _KEY_RE.fullmatch(left)):
                 raise MomentFormatError(f"line {lineno}: unparseable line {line!r}")
-            if left in header:
+            if colon:
+                records.append((lineno, left, value[0]))
+            elif left in header:
                 raise MomentFormatError(f"line {lineno}: header field {left!r} given twice")
-            header[left] = value[0]
+            else:
+                header[left] = value[0]
     for key in required:
         if key not in header:
             raise MomentFormatError(f"missing header field {key!r}")
@@ -255,15 +252,11 @@ def format_text(header: dict, records, sep: str) -> str:
     return "\n".join(lines)
 
 
-def _number(text: str) -> float:
-    # an x can only stand in a hex-float's 0x, after at most one sign: float() rejects any x
-    return float.fromhex(text) if "x" in text or "X" in text else float(text)
-
-
 def parse_value(text: str) -> float:
     """A decimal or hex-float token's value; MomentFormatError for any other token."""
     try:
-        return _number(text)
+        # an x can only stand in a hex-float's 0x, after at most one sign: float() rejects any x
+        return float.fromhex(text) if "x" in text or "X" in text else float(text)
     except ValueError:
         raise MomentFormatError(f"bad numeric value {text!r}")
 
@@ -282,15 +275,37 @@ def store_moments(seq: MomentSequence, path) -> None:
 
 
 def _leading_indices(lefts, n: int) -> np.ndarray:
-    """The exponents, as floats, of the leading records whose left side is a
-    quoted index of n digit runs: a (p, n) array from one match and one parse."""
+    """The exponents of the leading records whose left side is a quoted index
+    of n digit runs: a (p, n) int64 array from one match and one parse, where
+    an entry past the int64 range reads as its maximum."""
     text = "\n".join(lefts) + "\n"
     # a record of n entries takes 2n + 2 characters: a larger n fits none (and sizes no pattern)
     end = re.compile(rf'(?:"[0-9]+(?:,[0-9]+){{{n - 1}}}"\n)*').match(text).end() if 0 < 2 * n < len(text) else 0
     if not end:  # p = 0
-        return np.zeros((0, 1))
-    # '"1,0"\n"0,1"\n' -> '1,0,0,1': digit runs and commas only, exact below 2^53
-    return np.fromstring(text[1 : end - 2].replace('"\n"', ","), sep=",").reshape(-1, n)
+        return np.zeros((0, 1), dtype=np.int64)
+    # '"1,0"\n"0,1"\n' -> '1,0,0,1': digit runs and commas only
+    return np.fromstring(text[1 : end - 2].replace('"\n"', ","), sep=",", dtype=np.int64).reshape(-1, n)
+
+
+def _index_fault(records, exps, k: int, n: int, d_max: int) -> str | None:
+    """The message of the first index check that record k fails, in the order
+    the record-by-record reader runs them (quoted index, repeat, degree), or None.
+    exps are the leading records' exponents from _leading_indices."""
+    lineno, left, _ = records[k]
+    if (index := _INDEX_RE.fullmatch(left)) is None:
+        return f"line {lineno}: a record needs a quoted multi-index, got {left!r}"
+    try:
+        alpha = parse_multiindex(index[1], n)
+    except ValueError as e:
+        return f"line {lineno}: {e}"
+    # equal indices have equal exps rows, and equal digits once leading zeros go
+    digits = [e.lstrip("0") for e in index[1].split(",")]
+    for j in np.flatnonzero((exps[:k] == exps[k]).all(axis=1)):
+        if [e.lstrip("0") for e in records[j][1][1:-1].split(",")] == digits:
+            return f"line {lineno}: duplicate multi-index {alpha}"
+    if sum(alpha) > d_max:
+        return f"line {lineno}: multi-index {alpha} exceeds declared d_max={d_max}"
+    return None
 
 
 def load_moments(path) -> MomentSequence:
@@ -314,38 +329,33 @@ def load_moments(path) -> MomentSequence:
     scale = parse_value(header["scale"])
     linenos, lefts, rights = zip(*records) if records else ((), (), ())
     exps = _leading_indices(lefts, n)
-    # a float degree reaches d_max + 1 exactly when the index's degree does (for d_max < 2^53:
-    # a larger d_max declares more moments than any file holds)
-    cap = max(0, min(d_max + 1, 2**53))
-    at_fault = exps.sum(axis=1) >= cap
+    # Candidates for a fault: a float degree of d_max + 1 or more, or an equal earlier exps
+    # row.  Every record at fault is one, and for d_max < 2^53 only those are; above, or
+    # past int64, a record can be flagged by rounding, so each is checked exactly until one fails.
+    at_fault = exps.sum(axis=1, dtype=float) >= max(0, min(d_max + 1, 2**53))
     order = np.lexsort(exps.T)  # stable: a repeated index follows its first record
     ranked = exps[order]
     at_fault[order[1:]] |= (ranked[1:] == ranked[:-1]).all(axis=1)
-    p = int(at_fault.argmax()) if at_fault.any() else len(exps)  # the first record whose index is at fault
-    try:
-        values = list(takewhile(math.isfinite, map(_number, rights[:p])))
-    except ValueError:  # parse_value names the first bad token, unless a non-finite value comes first
-        values = list(takewhile(math.isfinite, map(parse_value, rights[:p])))
-    if len(values) < p:
-        alpha = tuple(map(int, exps[len(values)].tolist()))
-        raise MomentFormatError(f"line {linenos[len(values)]}: non-finite value for {alpha}")
-    if p < len(records):
-        lineno, left = linenos[p], lefts[p]
-        if (index := _INDEX_RE.fullmatch(left)) is None:
-            raise MomentFormatError(f"line {lineno}: a record needs a quoted multi-index, got {left!r}")
-        try:
-            alpha = parse_multiindex(index[1], n)
-        except ValueError as e:
-            raise MomentFormatError(f"line {lineno}: {e}")
-        if sum(alpha) > d_max:
-            raise MomentFormatError(f"line {lineno}: multi-index {alpha} exceeds declared d_max={d_max}")
-        raise MomentFormatError(f"line {lineno}: duplicate multi-index {alpha}")
+    fault = None
+    for p in [*np.flatnonzero(at_fault).tolist(), len(exps)]:  # past the leading records, one is at fault
+        if p == len(records) or (fault := _index_fault(records, exps, p, n, d_max)):
+            break
+    values = list(takewhile(math.isfinite, map(parse_value, rights[:p])))
+    if len(values) < p:  # record k's value is not finite
+        k = len(values)
+        # its index passed, unless an entry has more digits than int() reads
+        raise MomentFormatError(
+            _index_fault(records, exps, k, n, d_max)
+            or f"line {linenos[k]}: non-finite value for {parse_multiindex(lefts[k][1:-1], n)}"
+        )
+    if fault:
+        raise MomentFormatError(fault)
     # the records are distinct and of degree <= d_max: complete iff there are s_(d_max)
     expected = dim_total(n, d_max)
     if len(values) != expected:
         raise MomentFormatError(f"incomplete moment file: missing {expected - len(values)} of {expected} moments")
     array = np.empty(expected)
-    array[glex_rank(exps.astype(np.int64))] = values
+    array[glex_rank(exps)] = values
     if normalized and array[0] != 1.0:
         raise MomentFormatError("file declares normalized = true but y_0 != 1")
     try:

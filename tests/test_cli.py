@@ -100,6 +100,18 @@ def test_flat_atoms_file_exits_0(capsys, tmp_path):
     assert "verdict = exists" in out and "rank = 0" in out
 
 
+def test_lebesgue_square_never_exits_0_while_its_moment_matrix_is_definite(capsys):
+    # no Gaussian rule of degree 2m - 1 >= 3 exists for the square; at high m R^ falls
+    # below the pessimistic rounding level (3.1e-9 against 0.17 at m = 20), but far above
+    # the rounding of its own subtraction, so it is never taken for flat data
+    for m in range(2, 30):
+        code, out, err = run_cli(capsys, "exists", "--catalog", "lebesgue^2", "--m", str(m), "--format", "machine")
+        assert code != EXIT_OK, (m, out)
+        if "not positive definite" in err:
+            break
+    assert m == 21, (m, err)
+
+
 @pytest.mark.parametrize(
     "spec,reference",
     [("lebesgue^1", np.polynomial.legendre.leggauss), ("chebyshev1^1", np.polynomial.chebyshev.chebgauss)],

@@ -279,11 +279,34 @@ def test_loader_names_the_first_fault_in_file_order(tmp_path):
         "bad value before a deep index": [records[0], '"1,0": junk', '"9,0": 1'] + records[2:],
         "deep index before a bad index": [records[0], '"99999999999999999999999,0": 1', '"1,,0": 1'] + records[1:],
         "bad index before incomplete": records[:3] + ['"1": 1'],
+        "an entry past int()'s digit limit with a non-finite value": records[:2] + ['"' + "0" * 5000 + '1,0": nan'],
     }
     for name, body in cases.items():
         path.write_text("\n".join(head + body) + "\n")
         got = _outcome(load_moments, path)
         assert got[0] is MomentFormatError and got == _outcome(load_moments_by_record, path), name
+    # with d_max >= 2^53 a float degree or two float-equal indices can be rounding's doing:
+    # 2^53 + 1 reads as 2^53, and d_max = 2^53 + 2 declares more moments than any file holds
+    store_moments(catalog("lebesgue^1", 2), path)
+    head, records = path.read_text().splitlines()[:4], path.read_text().splitlines()[4:]
+    head = [line.replace("d_max = 2", f"d_max = {2**53 + 2}") for line in head]
+    cases = {
+        "degree 2^53 + 1, float-flagged": records + ['"9007199254740993": 1'],
+        "distinct, float-equal": records + ['"9007199254740993": 1', '"9007199254740992": 1'],
+        "a real duplicate": records + ['"9007199254740993": 1', '"9007199254740993": 1'],
+        "degree above d_max": records + ['"9007199254740992": 1', '"9007199254740995": 1'],
+        "non-finite, float-flagged": records + ['"9007199254740992": 1', '"9007199254740993": nan'],
+    }
+    for name, body in cases.items():
+        path.write_text("\n".join(head + body) + "\n")
+        got = _outcome(load_moments, path)
+        assert got[0] is MomentFormatError and got == _outcome(load_moments_by_record, path), name
+    # two distinct entries past int64 read alike, yet neither is at fault under d_max = 10^30:
+    # both readers go on to the record count, which overflows
+    head = [line.replace(f"d_max = {2**53 + 2}", f"d_max = {10**30}") for line in head]
+    path.write_text("\n".join(head + records + [f'"{10**23}": 1', f'"{10**23 + 1}": 1']) + "\n")
+    got = _outcome(load_moments, path)
+    assert got[0] is OverflowError and got == _outcome(load_moments_by_record, path)
 
 
 # each file format: a value to store, its writer and reader, and its required header fields
