@@ -3,7 +3,7 @@
 The catalog covers products of classical 1-D weights on [-1, 1] (plus a
 Gaussian-type even weight) and a symmetrized 2-D Chebyshev family obtained
 by pushing the product Chebyshev weight through (t1, t2) -> (t1+t2, t1*t2)
-with an extra (t1 - t2)^2 factor.
+with an extra (t1 - t2)^2 factor; its moments are dyadic, each rounded once.
 
 All downstream analysis works on probability-normalized sequences (y_0 = 1);
 the original mass is kept in `scale` so cubature weights can be rescaled.
@@ -147,36 +147,31 @@ def _moment_1d(tag: str, k: int) -> float:
     raise ValueError(f"unknown 1-D weight tag {tag!r}")
 
 
-def _symmetrized_moments(d_max: int) -> tuple[np.ndarray, float]:
-    """Moments of the symmetrized 2-D Chebyshev family (alpha = 1/2).
+def _symmetrized_moments(d_max: int) -> np.ndarray:
+    """Probability-normalized moments of the symmetrized 2-D Chebyshev family (alpha = 1/2).
 
-    y_(a,b) = c * integral over [-1,1]^2 of
-        (t1+t2)^a (t1 t2)^b (t1-t2)^2 / sqrt((1-t1^2)(1-t2^2)) dt1 dt2,
-    evaluated with a tensor Gauss-Chebyshev rule exact well beyond the
-    polynomial degree of the integrand (a + 2b + 2 <= 2*d_max + 2).
+    With t1, t2 i.i.d. under the probability Chebyshev-1 weight, s = t1 + t2 and p = t1 t2,
+    M(a, b) = 2^(a+2b) E[s^a p^b] is an integer: M(0, b) = C(b, b/2)^2 (0 for odd b), M(1, b) = 0,
+    and E[t f(t)] = E[(1 - t^2) f'(t)] in t1 and t2 gives the exact division
+    M(a+1, b) = (8a M(a-1, b) + 2a M(a-1, b+1) + 4b M(a+1, b-1)) / (a+b+1).
+    As (t1 - t2)^2 = s^2 - 4p, y_(a,b) = (M(a+2, b) - 4 M(a, b+1)) / 2^(a+2b+2), rounded once.
     """
-    npts = d_max + 4  # 1-D exactness 2*npts - 1 >= 2*d_max + 7
-    i = np.arange(1, npts + 1)
-    t = np.cos((2 * i - 1) * pi / (2 * npts))
-    w = pi / npts
-    t1 = t[:, None]
-    t2 = t[None, :]
-    base = w * w * (t1 - t2) ** 2
-    s = t1 + t2
-    p = t1 * t2
-    base_s = [base * s**a for a in range(d_max + 1)]
-    p_pow = [p**b for b in range(d_max + 1)]
-    raw = np.array([np.sum(base_s[a] * p_pow[b]) for a, b in glex_enumerate(2, d_max).tolist()])
-    return raw / raw[0], float(raw[0])
+    top = d_max + 2  # the largest a + b read
+    rows = [[comb(b, b // 2) ** 2 if b % 2 == 0 else 0 for b in range(top + 1)], [0] * top]
+    for a in range(1, top):  # rows[a + 1] from rows[a - 1]
+        prev, row = rows[a - 1], []
+        for b in range(top - a):
+            row.append((8 * a * prev[b] + 2 * a * prev[b + 1] + (4 * b * row[b - 1] if b else 0)) // (a + b + 1))
+        rows.append(row)
+    # int / int is correctly rounded, and raises OverflowError past the float range
+    pairs = glex_enumerate(2, d_max).tolist()
+    return np.array([(rows[a + 2][b] - 4 * rows[a][b + 1]) / 2 ** (a + 2 * b + 2) for a, b in pairs])
 
 
 def catalog_moments(spec: MeasureSpec, d_max: int) -> MomentSequence:
-    """Closed-form (or exactly-quadratured) moments, probability-normalized."""
+    """Closed-form moments, probability-normalized; the symmetrized ones are exact, each rounded once."""
     if spec.name == "symmetrized":
-        if d_max > 500:
-            raise ValueError("d_max too large for the internal quadrature table")
-        array, mass = _symmetrized_moments(d_max)
-        return MomentSequence(2, d_max, array, normalized=True, scale=mass)
+        return MomentSequence(2, d_max, _symmetrized_moments(d_max), normalized=True, scale=pi * pi)
     exps = glex_enumerate(spec.n, d_max)
     m0 = _moment_1d(spec.name, 0)
     one_d = np.array([_moment_1d(spec.name, k) / m0 for k in range(d_max + 1)])

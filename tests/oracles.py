@@ -24,6 +24,10 @@ shifts y's degree-2m moments by it: the moments of the Gaussian rule.
 through its own regex, index parse, dict lookup and value parse: the
 reference for `gausscub.measures.load_moments`, which checks all records as
 whole arrays.
+
+`symmetrized_moments_by_sum` writes each symmetrized moment as a binomial
+sum over the Chebyshev-1 moments, in Python integers: the reference for
+`gausscub.measures.catalog_moments`, which runs a recurrence instead.
 """
 
 import math
@@ -248,3 +252,26 @@ def load_moments_by_record(path) -> MomentSequence:
         return MomentSequence(n, d_max, array, normalized=normalized, scale=scale)
     except ValueError as e:
         raise MomentFormatError(str(e))
+
+
+def _chebyshev_pair_sum(a: int, b: int) -> int:
+    """N(a, b) = 2^(a+2b) E[(t1+t2)^a (t1 t2)^b] for t1, t2 i.i.d. under the
+    probability Chebyshev-1 weight, whose moment of order 2j is C(2j, j) / 4^j."""
+    total = 0
+    for k in range(a + 1):
+        i, j = k + b, a - k + b  # the powers of t1 and t2
+        if i % 2 == j % 2 == 0:
+            total += math.comb(a, k) * math.comb(i, i // 2) * math.comb(j, j // 2)
+    return total
+
+
+def symmetrized_moments_by_sum(d_max: int) -> np.ndarray:
+    """The Glex-ordered moments of symmetrized:0.5 to degree d_max, each one
+    integer over a power of two, correctly rounded: (t1 - t2)^2 = s^2 - 4p gives
+    y_(a,b) = (N(a+2, b) - 4 N(a, b+1)) / 2^(a+2b+2)."""
+    return np.array(
+        [
+            (_chebyshev_pair_sum(a + 2, b) - 4 * _chebyshev_pair_sum(a, b + 1)) / 2 ** (a + 2 * b + 2)
+            for a, b in glex_enumerate(2, d_max).tolist()
+        ]
+    )

@@ -237,11 +237,10 @@ def test_smallest_gauss_hermite_weight_is_not_the_reason(capsys):
 
 
 def test_cubature_flat_keys_come_from_the_verdict(capsys):
-    # at tol 1e-7 the m = 7 rule is accepted; its completion is flat, rank s_6 = 28
-    args = ("cubature", "--catalog", "symmetrized:0.5", "--m", "7", "--tol", "1e-7", "--format", "machine")
-    code, out, _ = run_cli(capsys, *args)
+    # the m = 6 rule is accepted; its completion is flat, rank s_5 = 21
+    code, out, _ = run_cli(capsys, "cubature", "--catalog", "symmetrized:0.5", "--m", "6", "--format", "machine")
     assert code == EXIT_OK
-    assert "\nflat = True\n" in out and "\nflat_rank = 28\n" in out
+    assert "\nflat = True\n" in out and "\nflat_rank = 21\n" in out
 
 
 def test_rule_file_values_may_be_decimal(capsys, tmp_path):
@@ -292,6 +291,13 @@ def test_moments_stdout_is_the_stored_file(capsys, tmp_path):
     path = tmp_path / "m.txt"
     store_moments(catalog_moments(parse_measure_spec("symmetrized:0.5"), 3), path)
     assert out.encode() == path.read_bytes()
+
+
+def test_symmetrized_moments_have_no_degree_cap(capsys):
+    # each moment is an integer over a power of two: only the float range bounds d_max
+    code, out, err = run_cli(capsys, "moments", "--catalog", "symmetrized:0.5", "--d-max", "501")
+    assert code == EXIT_OK, err
+    assert out.count("\n") == 4 + 502 * 503 // 2
 
 
 def test_moments_from_file_honours_d_max(capsys, tmp_path):

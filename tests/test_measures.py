@@ -24,7 +24,7 @@ from gausscub.measures import (
 )
 
 from conftest import catalog
-from oracles import load_moments_by_record
+from oracles import load_moments_by_record, symmetrized_moments_by_sum
 
 
 def test_parse_measure_spec():
@@ -80,11 +80,15 @@ def test_product_moments_are_products_of_1d_moments_bit_for_bit(spec_text, d_max
 def test_symmetrized_moments_symmetry():
     y = catalog("symmetrized:0.5", 6)
     assert y.value((0, 0)) == 1.0
-    # (t1,t2) -> (-t1,-t2) flips the sign of t1+t2 only: odd a moments vanish
+    # (t1,t2) -> (-t1,-t2) flips the sign of t1+t2 only: odd a moments vanish exactly
     for a, b in glex_enumerate(2, 6).tolist():
         if a % 2 == 1:
-            assert y.value((a, b)) == pytest.approx(0.0, abs=1e-13)
-    assert y.value((1, 0)) == pytest.approx(0.0, abs=1e-14)
+            assert y.value((a, b)) == 0.0, (a, b)
+
+
+@pytest.mark.parametrize("d_max", range(25))
+def test_symmetrized_moments_are_the_correctly_rounded_binomial_sums(d_max):
+    assert np.array_equal(catalog("symmetrized:0.5", d_max).array, symmetrized_moments_by_sum(d_max))
 
 
 def test_symmetrized_moments_match_a_denser_quadrature():
@@ -99,7 +103,18 @@ def test_symmetrized_moments_match_a_denser_quadrature():
 
 def test_symmetrized_mass():
     # raw mass = 2 * integral(t^2) * pi = pi^2 by expanding (t1 - t2)^2
-    assert catalog("symmetrized:0.5", 4).scale == pytest.approx(math.pi**2, rel=1e-13)
+    assert catalog("symmetrized:0.5", 4).scale == math.pi**2
+
+
+@pytest.mark.parametrize("spec_text", [f"{w}^{n}" for w in measures.ONE_D_WEIGHTS for n in (1, 2, 3)] + ["symmetrized:0.5"])
+def test_catalog_is_a_prefix(spec_text):
+    # the moments to degree d do not depend on the degree D they are taken to
+    spec, top = parse_measure_spec(spec_text), 10
+    long = catalog_moments(spec, top)
+    for d in range(top):
+        short = catalog_moments(spec, d)
+        assert np.array_equal(short.array, long.array[: len(short.array)]), d
+        assert short.scale == long.scale, d
 
 
 def test_normalize_probability():
