@@ -10,7 +10,10 @@ Runs in this process, through `gausscub.cli.main`:
 - their check-only constructions: `cubature`, `verify` and `qcheck` for each
   YES of a decide workload in the benchmark's construction subset;
 - `moments --d-max 8` and `ortho --sigma` for every |sigma| <= 2, on each
-  catalog spec of the workloads.
+  catalog spec of the workloads;
+- `exists --format machine` on faulty copies of the seed-1 n = 2, m = 3
+  decide-random moment file, one fault each (FAULTS), so the error of the
+  record-by-record reader is compared too.
 
 The file maps each request to [exit code, stdout, stderr, rule file], the
 rule file being the text of the request's rule path after it ran (null when
@@ -42,6 +45,18 @@ import workloads  # noqa: E402
 SEEDS = {"decide-catalog": [1], "construct-yes": [1], "decide-random": list(range(1, 11))}
 CATALOG = ["lebesgue^2", "chebyshev1^3", "lebesgue^3", "lebesgue^4", workloads.SYMMETRIZED]
 CATALOG += [f"{w}^1" for w in workloads.ONE_D_WEIGHTS]
+
+
+# one fault each, in the records that replace a valid file's middle record (d_max = 12)
+FAULTS = {
+    "drop": [],
+    "duplicate": ["{index}: {value}", "{index}: {value}"],
+    "short index": ["{short}: {value}"],
+    "degree above d_max": ['"13,0": {value}'],
+    "non-finite value": ["{index}: inf"],
+    "junk value": ["{index}: 0x1.2q3"],
+    "entry past int64": ['"100000000000000000000000,0": {value}'],
+}
 
 
 def call(argv: list[str], tmp: str, rule_path: str | None = None) -> list:
@@ -86,6 +101,24 @@ def catalog_outputs(tmp: str) -> dict:
     return outputs
 
 
+def fault_outputs(tmp: str) -> dict:
+    """`exists` on copies of a valid moment file whose middle record is replaced by FAULTS' records."""
+    workdir = os.path.join(tmp, "faults")
+    os.makedirs(workdir)
+    workloads.decide_random(1, workdir)
+    lines = Path(workdir, "moments-n2-m3.txt").read_text().splitlines()
+    k = (4 + len(lines)) // 2  # the middle record, after the four header lines
+    index, value = lines[k].split(": ")
+    outputs = {}
+    for name, records in FAULTS.items():
+        path = os.path.join(workdir, name.replace(" ", "-") + ".txt")
+        body = [record.format(index=index, short=index.split(",")[0] + '"', value=value) for record in records]
+        Path(path).write_text("\n".join(lines[:k] + body + lines[k + 1 :]) + "\n")
+        argv = ["exists", "--moments", path, "--m", "3", "--format", "machine"]
+        outputs[f"fault {name}: " + " ".join(argv).replace(tmp, "<tmp>")] = call(argv, tmp)
+    return outputs
+
+
 def dump(outputs: dict) -> str:
     return json.dumps(outputs, sort_keys=True, indent=1) + "\n"
 
@@ -100,6 +133,7 @@ def main() -> int:
             for seed in seeds:
                 outputs.update(workload_outputs(name, seed, tmp))
         outputs.update(catalog_outputs(tmp))
+        outputs.update(fault_outputs(tmp))
     Path(args.out).write_text(dump(outputs))
     print(f"{len(outputs)} requests written to {args.out}")
     return 0

@@ -27,7 +27,8 @@ def dim_total(n: int, d: int) -> int:
     """Number of monomials of degree <= d in n variables, C(n+d, d)."""
     if n < 1 or d < 0:
         raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
-    c = comb(n + d, d)
+    # C(n+d, d) >= 2^min(n, d): a count with min(n, d) >= 63 is out of range before comb would finish
+    c = comb(n + d, d) if min(n, d) < 63 else _COUNT_MAX + 1
     if c > _COUNT_MAX:
         raise OverflowError(f"monomial count C({n + d},{d}) exceeds 64-bit range")
     return c

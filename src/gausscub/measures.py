@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from itertools import takewhile
 from math import comb, pi, sqrt
 
 import numpy as np
@@ -69,6 +68,9 @@ class MeasureSpec:
             raise ValueError(f"unknown 1-D weight tag {self.name!r}")
         elif self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
+
+    def __str__(self) -> str:
+        return "symmetrized:0.5" if self.name == "symmetrized" else f"{self.name}^{self.n}"
 
     def box_support(self) -> tuple[float, float] | None:
         """[-1,1]^n when the weight has compact box support, else None."""
@@ -139,12 +141,16 @@ def _moment_1d(tag: str, k: int) -> float:
     if tag == "lebesgue":
         return 2.0 / (k + 1)
     if tag == "chebyshev1":
-        return pi * comb(k, j) / 2.0**k
+        return pi * (comb(k, j) / 2**k)  # int / int first: 2.0**k overflows from k = 1024
     if tag == "chebyshev2":
-        return (pi / 2.0) * comb(k, j) / (4.0**j * (j + 1))
+        return (pi / 2.0) * (comb(k, j) / 4**j) / (j + 1)
     if tag == "hermite":
         return sqrt(2.0 * pi) * _double_factorial(k - 1)
     raise ValueError(f"unknown 1-D weight tag {tag!r}")
+
+
+def _out_of_range(spec: MeasureSpec, d_max: int, degree: int) -> OverflowError:
+    return OverflowError(f"{spec} moments to d_max={d_max} leave the float range from degree {degree}")
 
 
 def _symmetrized_moments(d_max: int) -> np.ndarray:
@@ -163,18 +169,28 @@ def _symmetrized_moments(d_max: int) -> np.ndarray:
         for b in range(top - a):
             row.append((8 * a * prev[b] + 2 * a * prev[b + 1] + (4 * b * row[b - 1] if b else 0)) // (a + b + 1))
         rows.append(row)
-    # int / int is correctly rounded, and raises OverflowError past the float range
-    pairs = glex_enumerate(2, d_max).tolist()
-    return np.array([(rows[a + 2][b] - 4 * rows[a][b + 1]) / 2 ** (a + 2 * b + 2) for a, b in pairs])
+    moments = []
+    for a, b in glex_enumerate(2, d_max).tolist():
+        try:  # int / int is correctly rounded, and raises OverflowError past the float range
+            moments.append((rows[a + 2][b] - 4 * rows[a][b + 1]) / 2 ** (a + 2 * b + 2))
+        except OverflowError:
+            raise _out_of_range(MeasureSpec("symmetrized", 2), d_max, a + b)
+    return np.array(moments)
 
 
 def catalog_moments(spec: MeasureSpec, d_max: int) -> MomentSequence:
-    """Closed-form moments, probability-normalized; the symmetrized ones are exact, each rounded once."""
+    """Closed-form moments, probability-normalized; the symmetrized ones are exact, each rounded once.
+    OverflowError names the lowest degree whose moments leave the float range."""
     if spec.name == "symmetrized":
         return MomentSequence(2, d_max, _symmetrized_moments(d_max), normalized=True, scale=pi * pi)
     exps = glex_enumerate(spec.n, d_max)
     m0 = _moment_1d(spec.name, 0)
-    one_d = np.array([_moment_1d(spec.name, k) / m0 for k in range(d_max + 1)])
+    one_d = np.empty(d_max + 1)
+    for k in range(d_max + 1):  # a product moment is at most the 1-D moment of its degree
+        try:
+            one_d[k] = _moment_1d(spec.name, k) / m0
+        except OverflowError:
+            raise _out_of_range(spec, d_max, k)
     array = np.ones(len(exps))
     for i in range(spec.n):
         array *= one_d[exps[:, i]]
@@ -269,38 +285,48 @@ def store_moments(seq: MomentSequence, path) -> None:
         fh.write(format_moments(seq) + "\n")
 
 
-def _leading_indices(lefts, n: int) -> np.ndarray:
-    """The exponents of the leading records whose left side is a quoted index
-    of n digit runs: a (p, n) int64 array from one match and one parse, where
-    an entry past the int64 range reads as its maximum."""
+def _moments_by_array(records, n: int, d_max: int) -> np.ndarray | None:
+    """The Glex-ordered values of a valid file's records, from one match, one
+    int64 parse and one glex_rank call, or None for a file at fault.  Each
+    check bounds what the next one sizes: the record count, then the entries."""
+    if len(records) != dim_total(n, d_max):
+        return None
+    _, lefts, rights = zip(*records)
     text = "\n".join(lefts) + "\n"
-    # a record of n entries takes 2n + 2 characters: a larger n fits none (and sizes no pattern)
-    end = re.compile(rf'(?:"[0-9]+(?:,[0-9]+){{{n - 1}}}"\n)*').match(text).end() if 0 < 2 * n < len(text) else 0
-    if not end:  # p = 0
-        return np.zeros((0, 1), dtype=np.int64)
-    # '"1,0"\n"0,1"\n' -> '1,0,0,1': digit runs and commas only
-    return np.fromstring(text[1 : end - 2].replace('"\n"', ","), sep=",", dtype=np.int64).reshape(-1, n)
+    if not re.fullmatch(rf'(?:"[0-9]+(?:,[0-9]+){{{n - 1}}}"\n)*', text):
+        return None
+    # '"1,0"\n"0,1"\n' -> '1,0,0,1': an entry past the int64 range reads as its maximum
+    exps = np.fromstring(text[1:-2].replace('"\n"', ","), sep=",", dtype=np.int64).reshape(-1, n)
+    if exps.max() > d_max or exps.sum(axis=1).max() > d_max:
+        return None
+    array = np.full(len(records), np.nan)
+    array[glex_rank(exps)] = list(map(parse_value, rights))
+    return array if np.isfinite(array).all() else None  # a repeated index leaves a NaN
 
 
-def _index_fault(records, exps, k: int, n: int, d_max: int) -> str | None:
-    """The message of the first index check that record k fails, in the order
-    the record-by-record reader runs them (quoted index, repeat, degree), or None.
-    exps are the leading records' exponents from _leading_indices."""
-    lineno, left, _ = records[k]
-    if (index := _INDEX_RE.fullmatch(left)) is None:
-        return f"line {lineno}: a record needs a quoted multi-index, got {left!r}"
-    try:
-        alpha = parse_multiindex(index[1], n)
-    except ValueError as e:
-        return f"line {lineno}: {e}"
-    # equal indices have equal exps rows, and equal digits once leading zeros go
-    digits = [e.lstrip("0") for e in index[1].split(",")]
-    for j in np.flatnonzero((exps[:k] == exps[k]).all(axis=1)):
-        if [e.lstrip("0") for e in records[j][1][1:-1].split(",")] == digits:
-            return f"line {lineno}: duplicate multi-index {alpha}"
-    if sum(alpha) > d_max:
-        return f"line {lineno}: multi-index {alpha} exceeds declared d_max={d_max}"
-    return None
+def _moments_by_record(records, n: int, d_max: int) -> np.ndarray:
+    """The Glex-ordered values of the records, read one at a time: a
+    MomentFormatError names the first record at fault, in file order."""
+    moments: dict[MultiIndex, float] = {}
+    for lineno, left, right in records:
+        if (index := _INDEX_RE.fullmatch(left)) is None:
+            raise MomentFormatError(f"line {lineno}: a record needs a quoted multi-index, got {left!r}")
+        try:
+            alpha = parse_multiindex(index[1], n)
+        except ValueError as e:
+            raise MomentFormatError(f"line {lineno}: {e}")
+        if alpha in moments:
+            raise MomentFormatError(f"line {lineno}: duplicate multi-index {alpha}")
+        if sum(alpha) > d_max:
+            raise MomentFormatError(f"line {lineno}: multi-index {alpha} exceeds declared d_max={d_max}")
+        moments[alpha] = parse_value(right)
+        if not math.isfinite(moments[alpha]):
+            raise MomentFormatError(f"line {lineno}: non-finite value for {alpha}")
+    # the records are distinct and of degree <= d_max: complete iff there are s_(d_max)
+    expected = dim_total(n, d_max)
+    if len(moments) != expected:
+        raise MomentFormatError(f"incomplete moment file: missing {expected - len(moments)} of {expected} moments")
+    return np.array([moments[a] for a in map(tuple, glex_enumerate(n, d_max).tolist())])
 
 
 def load_moments(path) -> MomentSequence:
@@ -308,9 +334,9 @@ def load_moments(path) -> MomentSequence:
     each record checked in turn for its quoted index, a duplicate, its degree,
     its value and a finite value; then the record count.
 
-    The checks run on whole arrays, and only a file that passes them all
-    gets a rank table and its s_(d_max) moments: a header's d_max never
-    sizes anything before the records fill it.
+    A valid file is read as whole arrays; any other file is read again one
+    record at a time, which names its fault.  Neither path builds anything
+    the size of s_(d_max), or a rank table, before the records fill it.
     """
     header, records = read_text(path, ("n", "d_max", "normalized", "scale"))
     try:
@@ -322,35 +348,12 @@ def load_moments(path) -> MomentSequence:
         raise MomentFormatError("normalized must be true or false")
     normalized = header["normalized"] == "true"
     scale = parse_value(header["scale"])
-    linenos, lefts, rights = zip(*records) if records else ((), (), ())
-    exps = _leading_indices(lefts, n)
-    # Candidates for a fault: a float degree of d_max + 1 or more, or an equal earlier exps
-    # row.  Every record at fault is one, and for d_max < 2^53 only those are; above, or
-    # past int64, a record can be flagged by rounding, so each is checked exactly until one fails.
-    at_fault = exps.sum(axis=1, dtype=float) >= max(0, min(d_max + 1, 2**53))
-    order = np.lexsort(exps.T)  # stable: a repeated index follows its first record
-    ranked = exps[order]
-    at_fault[order[1:]] |= (ranked[1:] == ranked[:-1]).all(axis=1)
-    fault = None
-    for p in [*np.flatnonzero(at_fault).tolist(), len(exps)]:  # past the leading records, one is at fault
-        if p == len(records) or (fault := _index_fault(records, exps, p, n, d_max)):
-            break
-    values = list(takewhile(math.isfinite, map(parse_value, rights[:p])))
-    if len(values) < p:  # record k's value is not finite
-        k = len(values)
-        # its index passed, unless an entry has more digits than int() reads
-        raise MomentFormatError(
-            _index_fault(records, exps, k, n, d_max)
-            or f"line {linenos[k]}: non-finite value for {parse_multiindex(lefts[k][1:-1], n)}"
-        )
-    if fault:
-        raise MomentFormatError(fault)
-    # the records are distinct and of degree <= d_max: complete iff there are s_(d_max)
-    expected = dim_total(n, d_max)
-    if len(values) != expected:
-        raise MomentFormatError(f"incomplete moment file: missing {expected - len(values)} of {expected} moments")
-    array = np.empty(expected)
-    array[glex_rank(exps)] = values
+    try:
+        array = _moments_by_array(records, n, d_max)
+    except (MomentFormatError, ValueError, OverflowError):  # a bad value, n or d_max
+        array = None
+    if array is None:
+        array = _moments_by_record(records, n, d_max)
     if normalized and array[0] != 1.0:
         raise MomentFormatError("file declares normalized = true but y_0 != 1")
     try:

@@ -300,6 +300,21 @@ def test_symmetrized_moments_have_no_degree_cap(capsys):
     assert out.count("\n") == 4 + 502 * 503 // 2
 
 
+def test_chebyshev2_moments_past_degree_1015_are_not_zero(capsys):
+    # a float denominator 4.0**j * (j + 1) is inf from degree 1016, which printed the even moments as zeros
+    code, out, err = run_cli(capsys, "moments", "--catalog", "chebyshev2^1", "--d-max", "1020")
+    assert code == EXIT_OK, err
+    values = [float.fromhex(line.split(": ")[1]) for line in out.splitlines()[4:]]
+    assert len(values) == 1021 and all(v > 0 for v in values[::2])
+
+
+@pytest.mark.parametrize("spec_text,d_max,degree", [("hermite^1", 310, 302), ("symmetrized:0.5", 1054, 1054)])
+def test_catalog_overflow_names_its_degree(capsys, spec_text, d_max, degree):
+    code, _, err = run_cli(capsys, "moments", "--catalog", spec_text, "--d-max", str(d_max))
+    assert code == EXIT_INPUT
+    assert err == f"error: {spec_text} moments to d_max={d_max} leave the float range from degree {degree}\n"
+
+
 def test_moments_from_file_honours_d_max(capsys, tmp_path):
     path = str(tmp_path / "m.txt")
     run_cli(capsys, "moments", "--catalog", "lebesgue^1", "--d-max", "4", "--out", path)

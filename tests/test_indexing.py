@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gausscub import indexing
 from gausscub.indexing import (
     dim_homog,
     dim_total,
@@ -45,6 +47,25 @@ def test_dim_validation():
         dim_homog(2, -1)
     with pytest.raises(OverflowError):
         dim_total(500, 500)
+
+
+def test_dim_total_overflow_is_decided_before_the_binomial_is_computed(monkeypatch):
+    # C(n+d, d) >= 2^min(n, d): a count past 64 bits needs no million-digit binomial
+    for n in range(1, 80):
+        for d in range(80):
+            if math.comb(n + d, d) < 2**63:
+                assert dim_total(n, d) == math.comb(n + d, d)
+            else:
+                with pytest.raises(OverflowError):
+                    dim_total(n, d)
+
+    def small_comb(a, b):
+        assert min(b, a - b) < 63, f"computed C({a},{b})"
+        return math.comb(a, b)
+
+    monkeypatch.setattr(indexing, "comb", small_comb)
+    with pytest.raises(OverflowError):
+        dim_total(10**6, 10**6)
 
 
 def _indices(n: int, d_max: int) -> list[tuple[int, ...]]:

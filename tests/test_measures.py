@@ -77,6 +77,20 @@ def test_product_moments_are_products_of_1d_moments_bit_for_bit(spec_text, d_max
         assert y.value(alpha) == math.prod(y1.value((a,)) for a in alpha), alpha
 
 
+@pytest.mark.parametrize("weight", ["chebyshev1", "chebyshev2"])
+def test_chebyshev_moments_keep_their_bits_and_stay_in_range(weight):
+    # dividing in integers first rounds as the old float quotients did, as long as those were finite
+    old = {
+        "chebyshev1": lambda k, j: math.pi * math.comb(k, j) / 2.0**k,
+        "chebyshev2": lambda k, j: (math.pi / 2.0) * math.comb(k, j) / (4.0**j * (j + 1)),
+    }[weight]
+    for k in range(0, 1015, 2):
+        assert measures._moment_1d(weight, k) == old(k, k // 2), k
+    # the old chebyshev2 denominator is inf from degree 1016, and 2.0**k overflows from 1024
+    y = catalog(weight, 2000).array
+    assert np.all((y[::2] > 0) & (y[::2] <= 1)) and not y[1::2].any()
+
+
 def test_symmetrized_moments_symmetry():
     y = catalog("symmetrized:0.5", 6)
     assert y.value((0, 0)) == 1.0
@@ -465,3 +479,34 @@ def test_measure_spec_validation():
         MeasureSpec("lebesgue", 0)
     with pytest.raises(ValueError):
         MeasureSpec("symmetrized", 3)
+
+
+def _atoms_file(path, n: int, d_max: int, seed: int) -> np.ndarray:
+    """A moment file of random atoms in hex-float, Glex-ordered; the moments it holds."""
+    rng = np.random.default_rng(seed)
+    x, w = rng.uniform(-1.0, 1.0, (20, n)), rng.uniform(0.5, 1.5, 20)
+    exps = glex_enumerate(n, d_max)
+    y = np.array([float(w @ np.prod(x ** alpha, axis=1)) for alpha in exps])
+    records = [f'"{format_multiindex(a)}": {v.hex()}' for a, v in zip(exps.tolist(), y.tolist())]
+    path.write_text("\n".join([f"n = {n}", f"d_max = {d_max}", "normalized = false", "scale = 0x1.0p+0", *records]) + "\n")
+    return y
+
+
+def test_valid_files_are_read_as_whole_arrays(tmp_path, monkeypatch):
+    # the benchmark's files are valid: reading one record at a time would cost them the array path's speed
+    def by_record(*args):
+        raise AssertionError("a valid file was read record by record")
+
+    monkeypatch.setattr(measures, "_moments_by_record", by_record)
+    path = tmp_path / "m.txt"
+    specs = ["lebesgue^2", "chebyshev1^3", "lebesgue^3", "lebesgue^4", "symmetrized:0.5"]
+    for spec_text in specs + [f"{w}^1" for w in measures.ONE_D_WEIGHTS]:
+        y = catalog(spec_text, 8)
+        store_moments(y, path)
+        assert np.array_equal(load_moments(path).array, y.array), spec_text
+    for n in (1, 2, 3):
+        y = _atoms_file(path, n, 12 // n, seed=n)
+        assert np.array_equal(load_moments(path).array, y), n
+    # decimal values, records out of order, comments and blank lines
+    path.write_text('# by hand\nn = 2\nd_max = 1\n\nnormalized = true\nscale = 2.5\n"0,1": -0.25\n\n# x1\n"1,0": 1e-3\n"0,0": 1\n')
+    assert np.array_equal(load_moments(path).array, [1.0, 1e-3, -0.25])
