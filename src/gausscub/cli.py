@@ -6,15 +6,20 @@ verification), 20 input or format error (a size that overflows included),
 30 numerical failure (a moment matrix that is not positive definite, a NO
 residual within the noise floor, or a rule that cannot be built after a
 YES or fails verify's acceptance at --tol).
+
+A command line is SUBCOMMAND (--flag VALUE | --flag=VALUE)*: a repeated
+flag keeps its last value, and no flag may be abbreviated.  Every
+subcommand reads its measure from --catalog (a catalog spec, e.g.
+lebesgue^2 or symmetrized:0.5) or --moments (a moment file), and prints
+--format text or machine.  --m is the half-degree (precision 2m - 1).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,26 +33,24 @@ EXIT_INPUT = 20
 EXIT_NUMERICAL = 30
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on bad usage; the exit-code contract says 20.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
-
-
 def _level(text: str) -> int:
     m = int(text)
     if m < 1:
-        raise argparse.ArgumentTypeError(f"m must be >= 1, got {m}")
+        raise ValueError(f"m must be >= 1, got {m}")
     return m
 
 
 def _tolerance(text: str) -> float:
     tol = float(text)
     if not 0 < tol < math.inf:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {tol}")
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     return tol
+
+
+def _format(text: str) -> str:
+    if text not in ("text", "machine"):
+        raise ValueError(f"choose text or machine, got {text!r}")
+    return text
 
 
 def _fmt(v: float) -> str:
@@ -77,7 +80,7 @@ class Report:
         return "\n".join(f"{k.replace('_', ' '):<{width}}  {v}" for k, v in self.lines)
 
 
-def _load_sequence(cfg: argparse.Namespace, d_max: int):
+def _load_sequence(cfg: SimpleNamespace, d_max: int):
     """Probability-normalized moments to degree d_max from exactly one of
     --catalog / --moments, and the support box of a catalog measure (or None)."""
     if (cfg.catalog is None) == (cfg.moments is None):
@@ -89,13 +92,13 @@ def _load_sequence(cfg: argparse.Namespace, d_max: int):
     return measures.normalize_probability(seq), None
 
 
-def _decided(cfg: argparse.Namespace, d: int):
+def _decided(cfg: SimpleNamespace, d: int):
     """Moments to degree 2d >= 2m, their support box, and the verdict at level cfg.m."""
     seq, box = _load_sequence(cfg, 2 * d)
     return seq, box, existence.decide(seq, cfg.m, cfg.tol)
 
 
-def _cmd_exists(cfg: argparse.Namespace) -> tuple[int, str]:
+def _cmd_exists(cfg: SimpleNamespace) -> tuple[int, str]:
     seq, _, verdict = _decided(cfg, cfg.m)
     rm = dim_homog(seq.n, cfg.m)
     rep = Report(cfg.fmt)
@@ -112,7 +115,7 @@ def _cmd_exists(cfg: argparse.Namespace) -> tuple[int, str]:
     return (EXIT_OK if verdict.exists else EXIT_NO_CUBATURE), rep.render()
 
 
-def _cmd_cubature(cfg: argparse.Namespace) -> tuple[int, str]:
+def _cmd_cubature(cfg: SimpleNamespace) -> tuple[int, str]:
     seq, box, verdict = _decided(cfg, cfg.m)
     rep = Report(cfg.fmt)
     rep.add("verdict", "exists" if verdict.exists else "no-gaussian-cubature")
@@ -141,7 +144,7 @@ def _cmd_cubature(cfg: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, rep.render()
 
 
-def _cmd_verify(cfg: argparse.Namespace) -> tuple[int, str]:
+def _cmd_verify(cfg: SimpleNamespace) -> tuple[int, str]:
     rule = cub.load_rule(cfg.rule)
     seq, box = _load_sequence(cfg, 2 * rule.m)
     basis = ortho.build_orthobasis(seq, rule.m)
@@ -160,7 +163,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> tuple[int, str]:
     return (EXIT_OK if reason is None else EXIT_NO_CUBATURE), rep.render()
 
 
-def _cmd_moments(cfg: argparse.Namespace) -> tuple[int, str]:
+def _cmd_moments(cfg: SimpleNamespace) -> tuple[int, str]:
     seq, _ = _load_sequence(cfg, cfg.d_max)
     if cfg.out:
         measures.store_moments(seq, cfg.out)
@@ -168,7 +171,7 @@ def _cmd_moments(cfg: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, measures.format_moments(seq)
 
 
-def _cmd_ortho(cfg: argparse.Namespace) -> tuple[int, str]:
+def _cmd_ortho(cfg: SimpleNamespace) -> tuple[int, str]:
     sigma = parse_multiindex(cfg.sigma)
     d = sum(sigma)
     seq, _ = _load_sequence(cfg, 2 * d)
@@ -191,7 +194,7 @@ def _cmd_ortho(cfg: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, rep.render()
 
 
-def _cmd_qcheck(cfg: argparse.Namespace) -> tuple[int, str]:
+def _cmd_qcheck(cfg: SimpleNamespace) -> tuple[int, str]:
     # Q needs P_kappa with |kappa| = 2m: the basis to 2m, moments to 4m; the rule is cubature's
     seq, box, verdict = _decided(cfg, 2 * cfg.m)
     rep = Report(cfg.fmt)
@@ -211,47 +214,101 @@ def _cmd_qcheck(cfg: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, rep.render()
 
 
-def _add_command(sub, name: str, handler, help: str | None = None) -> _Parser:
-    """Subcommand `name`, run by handler, with the moment source and output format."""
-    p = sub.add_parser(name, help=help)
-    p.set_defaults(run=handler)
-    p.add_argument("--catalog", help="catalog spec, e.g. lebesgue^2 or symmetrized:0.5")
-    p.add_argument("--moments", help="moment file path")
-    p.add_argument("--format", dest="fmt", choices=("text", "machine"), default="text")
-    return p
+# Every flag: the config attribute it sets, the converter of its value (a
+# ValueError is a bad value) and its default.
+_FLAGS = {
+    "--catalog": ("catalog", str, None),
+    "--moments": ("moments", str, None),
+    "--format": ("fmt", _format, "text"),
+    "--d-max": ("d_max", int, None),
+    "--out": ("out", str, None),
+    "--sigma": ("sigma", str, None),
+    "--m": ("m", _level, None),
+    "--tol": ("tol", _tolerance, 1e-8),
+    "--seed": ("seed", int, cub.DEFAULT_SEED),
+    "--rule": ("rule", str, None),
+}
+_SOURCE = ("--catalog", "--moments", "--format")
+
+# Every subcommand: its handler, its flags and the flags it requires.
+COMMANDS = {
+    "moments": (_cmd_moments, (*_SOURCE, "--d-max", "--out"), ("--d-max",)),
+    "ortho": (_cmd_ortho, (*_SOURCE, "--sigma"), ("--sigma",)),
+    "exists": (_cmd_exists, (*_SOURCE, "--m", "--tol"), ("--m",)),
+    "cubature": (_cmd_cubature, (*_SOURCE, "--m", "--tol", "--seed", "--out"), ("--m",)),
+    "qcheck": (_cmd_qcheck, (*_SOURCE, "--m", "--tol", "--seed"), ("--m",)),
+    "verify": (_cmd_verify, (*_SOURCE, "--rule", "--tol"), ("--rule",)),
+}
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    parser = _Parser(prog="gausscub", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _usage(name: str | None) -> str:
+    """The usage line of one subcommand, each flag shown with its default (or
+    its attribute's name), or of the program when name is None."""
+    if name is None:
+        return f"usage: gausscub {{{','.join(COMMANDS)}}} [--flag VALUE | --flag=VALUE ...]"
+    _, flags, required = COMMANDS[name]
+    words = []
+    for flag in flags:
+        dest, _, default = _FLAGS[flag]
+        word = f"{flag} {dest.upper() if default is None else default}"
+        words.append(word if flag in required else f"[{word}]")
+    return " ".join(["usage: gausscub", name, *words])
 
-    p = _add_command(sub, "moments", _cmd_moments, help="emit a moment file")
-    p.add_argument("--d-max", dest="d_max", type=int, required=True)
-    p.add_argument("--out")
 
-    p = _add_command(sub, "ortho", _cmd_ortho, help="print an orthonormal polynomial")
-    p.add_argument("--sigma", required=True, help='multi-index, e.g. "1,1"')
+def _cmd_help(cfg: SimpleNamespace) -> tuple[int, str]:
+    """--help: usage, the description and, for the program, every subcommand's usage."""
+    lines = [_usage(cfg.subcommand), "", __doc__.strip()]
+    if cfg.subcommand is None:
+        lines += ["", "subcommands:", *(f"  {_usage(c).removeprefix('usage: ')}" for c in COMMANDS)]
+    return EXIT_OK, "\n".join(lines)
 
-    for name, handler in (("exists", _cmd_exists), ("cubature", _cmd_cubature), ("qcheck", _cmd_qcheck)):
-        p = _add_command(sub, name, handler)
-        p.add_argument("--m", type=_level, required=True, help="half-degree (precision 2m-1)")
-        p.add_argument("--tol", type=_tolerance, default=1e-8)
-        if name != "exists":  # the commands that build a rule
-            p.add_argument("--seed", type=int, default=cub.DEFAULT_SEED)
-        if name == "cubature":
-            p.add_argument("--out", help="rule file to write")
 
-    p = _add_command(sub, "verify", _cmd_verify, help="re-check a rule file against a moment source")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
-    return parser
+def _bad_usage(name: str | None, error: str):
+    """A bad command line: usage and the error on stderr, exit 20 before any work."""
+    print(f"{_usage(name)}\nerror: {error}", file=sys.stderr)
+    raise SystemExit(EXIT_INPUT)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The run configuration of SUBCOMMAND (--flag VALUE | --flag=VALUE)*: the
+    subcommand's handler as `run`, and each of its flags' attributes, the last
+    value given or the default; with -h or --help, `run` is the help instead.
+    Nothing is abbreviated."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        return SimpleNamespace(subcommand=None, run=_cmd_help)
+    if name not in COMMANDS:
+        _bad_usage(None, "a subcommand is required" if name is None else f"unknown subcommand {name!r}")
+    run, flags, required = COMMANDS[name]
+    cfg = SimpleNamespace(subcommand=name, run=run, **{_FLAGS[f][0]: _FLAGS[f][2] for f in flags})
+    args = iter(argv[1:])
+    given = set()
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return SimpleNamespace(subcommand=name, run=_cmd_help)
+        flag, eq, value = arg.partition("=")
+        if flag not in flags:
+            _bad_usage(name, f"{name} takes no flag {flag!r}")
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):  # a value that starts with -- needs the = form
+                _bad_usage(name, f"{flag} needs a value")
+        dest, convert, _ = _FLAGS[flag]
+        try:
+            setattr(cfg, dest, convert(value))
+        except ValueError as e:
+            _bad_usage(name, f"{flag}: {e}")
+        given.add(flag)
+    for flag in required:
+        if flag not in given:
+            _bad_usage(name, f"{name} needs {flag}")
+    return cfg
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    cfg = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        code, text = args.run(args)
+        code, text = cfg.run(cfg)
     except (measures.MomentFormatError, ValueError, OSError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -91,11 +91,16 @@ def glex_rank(*exps) -> np.ndarray:
 
 
 def index_rank(alpha, n: int, d_max: int) -> int:
-    """Glex rank of one multi-index, which needs n entries >= 0 and degree <= d_max."""
-    a = np.asarray(alpha)
-    if a.shape != (n,) or a.min() < 0 or a.sum() > d_max:
-        raise ValueError(f"{tuple(a.tolist())} is not an index of degree <= {d_max} in {n} variables")
-    return int(glex_rank(a))
+    """Glex rank of one multi-index, which needs n entries >= 0 and degree <= d_max:
+    `glex_rank`'s sum over the tail degrees, in Python ints."""
+    a = tuple(map(int, alpha))
+    if len(a) != n or min(a) < 0 or sum(a) > d_max:
+        raise ValueError(f"{a} is not an index of degree <= {d_max} in {n} variables")
+    rank = tail = 0
+    for j in range(n):  # j = n - i, as in glex_rank
+        tail += a[n - 1 - j]
+        rank += comb(tail + j, j + 1)
+    return rank
 
 
 @lru_cache(maxsize=None)

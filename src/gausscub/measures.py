@@ -293,7 +293,8 @@ def _moments_by_array(records, n: int, d_max: int) -> np.ndarray | None:
         return None
     _, lefts, rights = zip(*records)
     text = "\n".join(lefts) + "\n"
-    if not re.fullmatch(rf'(?:"[0-9]+(?:,[0-9]+){{{n - 1}}}"\n)*', text):
+    # an entry of 20 or more digits is left to the record loop, which int() bounds
+    if not re.fullmatch(rf'(?:"[0-9]{{1,19}}(?:,[0-9]{{1,19}}){{{n - 1}}}"\n)*', text):
         return None
     # '"1,0"\n"0,1"\n' -> '1,0,0,1': an entry past the int64 range reads as its maximum
     exps = np.fromstring(text[1:-2].replace('"\n"', ","), sep=",", dtype=np.int64).reshape(-1, n)
@@ -319,7 +320,10 @@ def _moments_by_record(records, n: int, d_max: int) -> np.ndarray:
             raise MomentFormatError(f"line {lineno}: duplicate multi-index {alpha}")
         if sum(alpha) > d_max:
             raise MomentFormatError(f"line {lineno}: multi-index {alpha} exceeds declared d_max={d_max}")
-        moments[alpha] = parse_value(right)
+        try:
+            moments[alpha] = parse_value(right)
+        except MomentFormatError as e:
+            raise MomentFormatError(f"line {lineno}: {e}")
         if not math.isfinite(moments[alpha]):
             raise MomentFormatError(f"line {lineno}: non-finite value for {alpha}")
     # the records are distinct and of degree <= d_max: complete iff there are s_(d_max)

@@ -238,7 +238,10 @@ def load_moments_by_record(path) -> MomentSequence:
             raise MomentFormatError(f"line {lineno}: duplicate multi-index {alpha}")
         if sum(alpha) > d_max:
             raise MomentFormatError(f"line {lineno}: multi-index {alpha} exceeds declared d_max={d_max}")
-        records[alpha] = parse_value(right)
+        try:
+            records[alpha] = parse_value(right)
+        except MomentFormatError as e:
+            raise MomentFormatError(f"line {lineno}: {e}")
         if not math.isfinite(records[alpha]):
             raise MomentFormatError(f"line {lineno}: non-finite value for {alpha}")
     # the records are distinct and of degree <= d_max: complete iff there are s_(d_max)

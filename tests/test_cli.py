@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from gausscub.cli import EXIT_INPUT, EXIT_NO_CUBATURE, EXIT_NUMERICAL, EXIT_OK, build_parser, main
+from gausscub.cli import COMMANDS, EXIT_INPUT, EXIT_NO_CUBATURE, EXIT_NUMERICAL, EXIT_OK, main
 from gausscub.cubature import load_rule
 from gausscub.indexing import glex_enumerate
 from gausscub.measures import (
@@ -21,7 +21,14 @@ from gausscub.measures import (
 
 from conftest import GAUSSIAN_GRID, fuzz_moments
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+SOURCE = ("--catalog", "--moments", "--format")  # the flags every subcommand takes
+
+
+def _env():
+    """The environment of a `gausscub` subprocess that imports this checkout."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *args):
@@ -31,7 +38,7 @@ def run_cli(capsys, *args):
 
 
 def exit_code(argv) -> int:
-    """The process exit code of `gausscub argv`, whether main returns it or argparse raises it."""
+    """The process exit code of `gausscub argv`, whether main returns it or the parser raises it."""
     try:
         return main(argv)
     except SystemExit as exc:
@@ -327,8 +334,80 @@ def test_moments_from_file_honours_d_max(capsys, tmp_path):
     assert np.array_equal(load_moments(cut).array, load_moments(path).array[:3])
 
 
-def test_parser_built_once():
-    assert build_parser() is build_parser()
+def test_cli_imports_neither_argparse_nor_gettext():
+    # the command table is parsed by one loop: no parser is built, and no message catalog is read
+    probe = "import sys, gausscub.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env=_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "subcommand"),
+        (["bogus", "--m", "2"], "'bogus'"),
+        (["exists", "--cat", "lebesgue^1", "--m", "2"], "'--cat'"),  # no flag is abbreviated
+        (["exists", "--catalog", "lebesgue^1", "--m", "2", "--nope", "1"], "'--nope'"),
+        (["exists", "--catalog", "lebesgue^1", "--m", "2", "stray"], "'stray'"),
+        (["exists", "--catalog", "lebesgue^1", "--m"], "--m needs a value"),
+        (["exists", "--catalog", "--m", "2"], "--catalog needs a value"),
+        (["exists", "--catalog", "lebesgue^1", "--m", "two"], "--m: "),
+        (["exists", "--catalog", "lebesgue^1", "--m", "2", "--format=xml"], "--format: "),
+        (["exists", "--catalog", "lebesgue^1"], "exists needs --m"),
+        (["verify", "--catalog", "lebesgue^1"], "verify needs --rule"),
+    ],
+)
+def test_bad_command_lines_exit_20_naming_the_flag(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_INPUT and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: gausscub ") and error.startswith("error: ") and named in error, err
+
+
+def test_equals_form_and_repeated_flags(capsys):
+    argv = ["exists", "--catalog", "lebesgue^2", "--m", "3", "--format", "machine"]
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == EXIT_NO_CUBATURE
+    assert run_cli(capsys, "exists", "--catalog=lebesgue^2", "--m=3", "--format=machine") == expected
+    # the last of a repeated flag wins
+    repeated = ["exists", "--catalog", "lebesgue^2", "--m", "2", "--format", "text", "--m", "3", "--format=machine"]
+    assert run_cli(capsys, *repeated) == expected
+
+
+@pytest.mark.parametrize("name", [None, *COMMANDS])
+def test_help_lists_every_subcommand_and_flag(capsys, name):
+    code, out, err = run_cli(capsys, *(["--help"] if name is None else [name, "-h"]))
+    assert code == EXIT_OK and err == ""
+    for command in COMMANDS if name is None else [name]:
+        assert re.search(rf"\bgausscub {command}\b", out), command
+        for flag in COMMANDS[command][1]:
+            assert re.search(rf"(?<![\w-]){flag}(?![\w-])", out), (command, flag)
+
+
+def test_readme_flags_table_is_the_command_table():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", fh.read(), re.M)
+    readme = {name: [(re.search(r"`(--[\w-]+)`", cell)[1], cell.endswith("(required)")) for cell in cells.split(", ")]
+              for name, cells in rows}
+    table = {}
+    for name, (_, flags, required) in COMMANDS.items():
+        assert flags[: len(SOURCE)] == SOURCE, name
+        table[name] = [(flag, flag in required) for flag in flags[len(SOURCE) :]]
+    assert readme == table
+
+
+def test_a_junk_moment_value_names_its_line(capsys, tmp_path):
+    path = tmp_path / "m.txt"
+    store_moments(catalog_moments(parse_measure_spec("lebesgue^1"), 2), path)
+    lines = path.read_text().splitlines()
+    assert lines[5].startswith('"1": ')
+    lines[5] = '"1": 0x1.2q3'
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "exists", "--moments", str(path), "--m", "1")
+    assert code == EXIT_INPUT
+    assert err == "error: line 6: bad numeric value '0x1.2q3'\n"
 
 
 def test_exists_from_moment_file(capsys, tmp_path):
@@ -395,9 +474,8 @@ def test_options_a_command_does_not_read_exit_20(argv):
 
 def test_closed_stdout_keeps_the_exit_code():
     # `gausscub moments ... | head -1`: the reader closes after one line
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-m", "gausscub.cli", "moments", "--catalog", "lebesgue^4", "--d-max", "20"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env()) as proc:
         assert proc.stdout.readline() == b"n = 4\n"
         proc.stdout.close()
         err = proc.stderr.read()

@@ -12,6 +12,7 @@ from gausscub.indexing import (
     format_multiindex,
     glex_enumerate,
     glex_rank,
+    index_rank,
     pair_ranks,
     parse_multiindex,
 )
@@ -155,6 +156,14 @@ def test_glex_rank_matches_table():
             low = _indices(n, d // 2)
             sums = glex_rank(np.array(low)[:, None], np.array(low)[None, :])
             assert sums.tolist() == [[pos[add(a, b)] for b in low] for a in low]
+
+
+def test_index_rank_is_glex_rank():
+    # one index ranked in Python ints, each row of the table as glex_rank ranks the whole table
+    for n in range(1, 5):
+        for d in range(7):
+            table = glex_enumerate(n, d)
+            assert [index_rank(alpha, n, d) for alpha in table.tolist()] == glex_rank(table).tolist()
 
 
 def test_glex_rank_high_degree_and_unit_shift():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,8 +272,13 @@ def _moment_files(draw):
     lines = [f'"{format_multiindex(a)}": {v}' for a, v in records]
     if fault == "empty":
         lines[k] = lines[k].replace('"', '",', 1)
+    # one entry zero-padded: to 20-30 digits it is the same index, past int()'s 4300-digit limit a malformed one
+    width, padded = draw(st.one_of(st.just(0), st.integers(20, 30), st.just(4301))), 0
+    if width and lines:
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[j], padded = re.subn(r'(?<=")[0-9]+', lambda entry: entry[0].zfill(width), lines[j], count=1)
     header = [f"n = {n}", f"d_max = {d_max}", f"normalized = {str(normalized).lower()}", "scale = 0x1.8p+1"]
-    return "\n".join(header + lines) + "\n", fault is not None
+    return "\n".join(header + lines) + "\n", fault is not None or (padded == 1 and width > 4300)
 
 
 def _outcome(load, path):
@@ -336,6 +342,19 @@ def test_loader_names_the_first_fault_in_file_order(tmp_path):
     path.write_text("\n".join(head + records + [f'"{10**23}": 1', f'"{10**23 + 1}": 1']) + "\n")
     got = _outcome(load_moments, path)
     assert got[0] is OverflowError and got == _outcome(load_moments_by_record, path)
+
+
+def test_readers_agree_on_long_index_entries(tmp_path):
+    # an entry of up to 4300 digits is int()'s, and zero padding keeps the index; past that it is malformed
+    path = tmp_path / "m.txt"
+    store_moments(catalog("lebesgue^1", 1), path)
+    head, records = path.read_text().splitlines()[:4], path.read_text().splitlines()[4:]
+    assert records[1].startswith('"1": ')
+    for width, loads in ((25, True), (4300, True), (5001, False)):
+        path.write_text("\n".join(head + [records[0], records[1].replace('"1"', '"' + "1".zfill(width) + '"')]) + "\n")
+        got = _outcome(load_moments, path)
+        assert got == _outcome(load_moments_by_record, path), width
+        assert (got[0] is not MomentFormatError) == loads, (width, got)
 
 
 # each file format: a value to store, its writer and reader, and its required header fields

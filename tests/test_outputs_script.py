@@ -32,7 +32,7 @@ def test_each_faulty_moment_file_is_an_input_error_naming_its_fault(tmp_path):
         "short index": "line 50: multi-index '9' has dimension 1",
         "degree above d_max": "line 50: multi-index (13, 0) exceeds",
         "non-finite value": "line 50: non-finite value",
-        "junk value": "bad numeric value '0x1.2q3'",
+        "junk value": "line 50: bad numeric value '0x1.2q3'",
         "entry past int64": "line 50: multi-index (100000000000000000000000, 0) exceeds",
     }
     assert [key.split(":")[0] for key in outputs] == [f"fault {name}" for name in expected]
