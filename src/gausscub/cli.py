@@ -9,8 +9,8 @@ YES or fails verify's acceptance at --tol).
 
 A command line is SUBCOMMAND (--flag VALUE | --flag=VALUE)*: a repeated
 flag keeps its last value, and no flag may be abbreviated.  Every
-subcommand reads its measure from --catalog (a catalog spec, e.g.
-lebesgue^2 or symmetrized:0.5) or --moments (a moment file), and prints
+subcommand reads its measure from one of --catalog (a catalog spec, e.g.
+lebesgue^2 or symmetrized:0.5) and --moments (a moment file), and prints
 --format text or machine.  --m is the half-degree (precision 2m - 1).
 """
 
@@ -81,10 +81,8 @@ class Report:
 
 
 def _load_sequence(cfg: SimpleNamespace, d_max: int):
-    """Probability-normalized moments to degree d_max from exactly one of
-    --catalog / --moments, and the support box of a catalog measure (or None)."""
-    if (cfg.catalog is None) == (cfg.moments is None):
-        raise ValueError("exactly one of --catalog and --moments is required")
+    """Probability-normalized moments to degree d_max from --catalog or
+    --moments, and the support box of a catalog measure (or None)."""
     if cfg.catalog is not None:
         spec = measures.parse_measure_spec(cfg.catalog)
         return measures.catalog_moments(spec, d_max), spec.box_support()
@@ -122,7 +120,7 @@ def _cmd_cubature(cfg: SimpleNamespace) -> tuple[int, str]:
     rep.add("relative_residual", verdict.relative_residual)
     if not verdict.exists:
         return EXIT_NO_CUBATURE, rep.render()
-    rule = cub.build_rule(seq, cfg.m, tol=cfg.tol, seed=cfg.seed, box=box)
+    rule = cub.build_rule(seq, cfg.m, tol=cfg.tol, box=box)
     defect_rank = verdict.defect_rank()
     rep.add("nodes", rule.nodes.shape[0])
     rep.add("precision", rule.precision)
@@ -204,7 +202,7 @@ def _cmd_qcheck(cfg: SimpleNamespace) -> tuple[int, str]:
     basis = ortho.build_orthobasis(seq, 2 * cfg.m)
     q = qcheck.build_Q(seq, basis, verdict.u)
     dev = qcheck.verify_corollary(basis, q)
-    rule = cub.build_rule(seq, cfg.m, tol=cfg.tol, seed=cfg.seed, box=box)
+    rule = cub.build_rule(seq, cfg.m, tol=cfg.tol, box=box)
     remark = qcheck.verify_remark(basis, q, rule)
     rep.add("corollary_deviation", dev)
     rep.add("remark_u_from_rule", remark.u_from_rule)
@@ -225,7 +223,7 @@ _FLAGS = {
     "--sigma": ("sigma", str, None),
     "--m": ("m", _level, None),
     "--tol": ("tol", _tolerance, 1e-8),
-    "--seed": ("seed", int, cub.DEFAULT_SEED),
+    "--seed": ("seed", int, None),  # accepted and ignored: a rule depends on no seed
     "--rule": ("rule", str, None),
 }
 _SOURCE = ("--catalog", "--moments", "--format")
@@ -302,6 +300,8 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     for flag in required:
         if flag not in given:
             _bad_usage(name, f"{name} needs {flag}")
+    if ("--catalog" in given) == ("--moments" in given):
+        _bad_usage(name, "exactly one of --catalog and --moments is required")
     return cfg
 
 

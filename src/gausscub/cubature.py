@@ -3,8 +3,9 @@
 The existence test, and with it the flat-extension route, is
 `existence.decide`.  Here coordinate multiplication is compressed to the
 degree-(m-1) orthonormal basis; pairwise commutation of the n operators is
-the classical existence criterion, and their joint eigenvalues are the
-nodes.  `rejection` is the one acceptance rule for a rule, built or read.
+the classical existence criterion, and their joint eigenvalues, read off a
+fixed combination, are the nodes: a rule depends on the moments, m and tol
+alone.  `rejection` is the one acceptance rule for a rule, built or read.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.random import default_rng  # numpy loads it lazily: load it on import, not in a request
 
 from .indexing import dim_total, glex_enumerate, pair_ranks
 from .measures import MomentFormatError, MomentSequence, format_text, parse_value, read_text
 from .ortho import OrthoBasis, build_orthobasis, eval_monomials, eval_P
 
-DEFAULT_SEED = 7
-MAX_DRAWS = 5  # random operator combinations tried before a collision is final
+PHI = (1 + 5**0.5) / 2
+MAX_DRAWS = 5  # operator combinations tried before a collision is final
 
 
 class DegenerateSpectrumError(Exception):
@@ -93,20 +93,21 @@ def _operator_scale(ops: MultiplicationOperators) -> float:
     return max(1.0, max(float(np.abs(mat).max()) for mat in ops.matrices))
 
 
-def extract_nodes(ops: MultiplicationOperators, tol: float = 1e-8, seed: int = DEFAULT_SEED) -> np.ndarray:
+def extract_nodes(ops: MultiplicationOperators, tol: float = 1e-8) -> np.ndarray:
     """Joint eigenvalues of the commuting operators, one node per eigenvector.
 
-    Diagonalizes a random convex combination of the operators; a clustered
-    spectrum triggers a re-draw of the combination (bounded attempts).
-    Nodes are sorted lexicographically for determinism.
+    Diagonalizes the Weyl combination c_i = frac(1 + i phi k) + 1/2, normalized,
+    for k = 1..MAX_DRAWS; a clustered spectrum moves on to the next k.  In 1-D
+    every combination is the operator itself, so one try is final.  Nodes are
+    sorted lexicographically.
     """
     defect = commutation_defect(ops)
     if defect > tol * _operator_scale(ops):
         raise DegenerateSpectrumError(f"operators do not commute (defect {defect:.3e})")
-    rng = default_rng(seed)
     size = ops.matrices[0].shape[0]
-    for _ in range(MAX_DRAWS):
-        c = rng.random(ops.n)
+    draws = 1 if ops.n == 1 else MAX_DRAWS
+    for k in range(1, draws + 1):
+        c = np.modf(1 + np.arange(ops.n) * PHI * k)[0] + 0.5
         c /= c.sum()
         a = sum(ci * ni for ci, ni in zip(c, ops.matrices))
         evals, vecs = np.linalg.eigh(a)
@@ -117,9 +118,7 @@ def extract_nodes(ops: MultiplicationOperators, tol: float = 1e-8, seed: int = D
         nodes = np.stack([np.sum(vecs * (ni @ vecs), axis=0) for ni in ops.matrices], axis=1)
         order = np.lexsort(tuple(nodes[:, i] for i in range(ops.n - 1, -1, -1)))
         return nodes[order]
-    raise DegenerateSpectrumError(
-        f"eigenvalue collision persisted across {MAX_DRAWS} random combinations"
-    )
+    raise DegenerateSpectrumError(f"eigenvalue collision persisted across {draws} operator combinations")
 
 
 def compute_weights(y: MomentSequence, basis: OrthoBasis, nodes: np.ndarray) -> np.ndarray:
@@ -187,14 +186,13 @@ def build_rule(
     y: MomentSequence,
     m: int,
     tol: float = 1e-8,
-    seed: int = DEFAULT_SEED,
     box: tuple[float, float] | None = None,
 ) -> CubatureRule:
     """The rule of a measure passing the existence test, in its degree-m basis
     (moments to 2m), gated at tol: the operators commute and `rejection` accepts."""
     basis = build_orthobasis(y, m)
     ops = multiplication_operators(y, basis, m)
-    nodes = extract_nodes(ops, tol=tol, seed=seed)
+    nodes = extract_nodes(ops, tol=tol)
     weights = compute_weights(y, basis, nodes)
     rule = CubatureRule(y.n, m, nodes, weights, scale=y.scale)
     rule = replace(rule, report=verify_exactness(rule, y, basis, box=box))

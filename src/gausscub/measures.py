@@ -83,8 +83,8 @@ _SPEC_RE = re.compile(r"^([a-z0-9]+)(\^(\d+))?$")
 def parse_measure_spec(text: str) -> MeasureSpec:
     """Parse the catalog grammar: NAME^n for products, symmetrized:0.5."""
     text = text.strip().lower()
-    if text.startswith("symmetrized"):
-        _, _, param = text.partition(":")
+    name, _, param = text.partition(":")
+    if name.rstrip() == "symmetrized":
         if param.strip() not in ("0.5", "1/2", "+0.5"):
             raise ValueError(f"unsupported symmetrized parameter {param!r}")
         return MeasureSpec("symmetrized", 2)

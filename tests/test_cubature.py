@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from gausscub.cubature import (
+    MAX_DRAWS,
     DegenerateSpectrumError,
     ExactnessReport,
+    MultiplicationOperators,
     build_rule,
     commutation_defect,
     compute_weights,
@@ -155,8 +157,8 @@ def test_extract_nodes_count_symmetrized():
 def test_extract_nodes_deterministic():
     y, basis, _ = _solve("symmetrized:0.5", 3)
     ops = multiplication_operators(y, basis, 3)
-    a = extract_nodes(ops, seed=7)
-    b = extract_nodes(ops, seed=7)
+    a = extract_nodes(ops)
+    b = extract_nodes(ops)
     assert np.array_equal(a, b)
 
 
@@ -168,6 +170,18 @@ def test_degenerate_spectrum_error():
     ops = MultiplicationOperators(1, 2, (mat,))
     with pytest.raises(DegenerateSpectrumError):
         extract_nodes(ops)
+
+
+@pytest.mark.parametrize("n, tries", [(1, 1), (2, MAX_DRAWS)])
+def test_eigh_calls_before_a_collision_is_final(monkeypatch, n, tries):
+    # in 1-D every combination is the operator itself, so a second eigh could not separate it
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    ops = MultiplicationOperators(n, 2, (np.eye(2),) * n)
+    with pytest.raises(DegenerateSpectrumError, match="collision"):
+        extract_nodes(ops)
+    assert len(calls) == tries
 
 
 def test_weights_1d():

@@ -32,7 +32,7 @@ def test_parse_measure_spec():
     assert parse_measure_spec("lebesgue^2") == MeasureSpec("lebesgue", 2)
     assert parse_measure_spec("chebyshev1").n == 1
     assert parse_measure_spec("symmetrized:0.5") == MeasureSpec("symmetrized", 2)
-    for bad in ("bogus^2", "lebesgue^0", "symmetrized:1.0", ""):
+    for bad in ("bogus^2", "lebesgue^0", "symmetrized:1.0", "symmetrizedxyz:0.5", "symmetrized", ""):
         with pytest.raises(ValueError):
             parse_measure_spec(bad)
 
